@@ -31,9 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import special
 
 from .core import (
     DegenerateInputError,
@@ -76,6 +78,28 @@ class _Kahan:
         self.carry = value - (new_total - self.total)
         self.total = new_total
 
+    def extend(self, values: Iterable[complex]) -> None:
+        """add() each value in turn, with the state held in locals."""
+        total, carry = self.total, self.carry
+        for value in values:
+            value = value + carry
+            new_total = total + value
+            carry = value - (new_total - total)
+            total = new_total
+        self.total, self.carry = total, carry
+
+
+def _div_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """z / d with real d, each part divided as Python's complex / float does.
+
+    numpy's complex division multiplies by the reciprocal of the divisor,
+    which can move the last ulp.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    out.real = z.real / d
+    out.imag = z.imag / d
+    return out
+
 
 @dataclass(frozen=True)
 class TruncationReport:
@@ -84,7 +108,7 @@ class TruncationReport:
     ``apriori_bound`` is the closed-form bound above when one exists for the
     formula (None otherwise); ``empirical_tail`` is a heuristic tail gauge
     (magnitude of the last symmetric block, for the reconstruction formula
-    augmented by a numeric integral-comparison estimate) and is *not*
+    augmented by a closed-form estimate of the omitted blocks) and is *not*
     certified.
     """
 
@@ -127,6 +151,18 @@ class SampleSet:
     def n_ring(self) -> int:
         return max(self.ring_samples) if self.ring_samples else 0
 
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """k, raw and weighted samples in block order 1, -1, 2, -2, ...
+
+        The first 2n entries are the n innermost symmetric blocks.
+        """
+        ks = np.arange(1, self.n_ring + 1).repeat(2)
+        ks[1::2] *= -1
+        order = ks.tolist()
+        return (ks, np.array([self.ring_samples[k] for k in order], dtype=complex),
+                np.array([self.weighted_ring[k] for k in order], dtype=complex))
+
     @classmethod
     def from_member(cls, m: MellinBernsteinMember, n: int) -> "SampleSet":
         if n < 1:
@@ -134,7 +170,8 @@ class SampleSet:
         ks = [k for k in range(-n, n + 1) if k != 0]
         xs = np.array([k * math.pi / m.T for k in ks])
         weighted = m.weighted_profile(xs, 0.0)
-        raw = weighted * np.exp(-m.c * xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = weighted * np.exp(-m.c * xs)  # may over/underflow; see valiron_lin_form
         center = PolarPoint(1.0, 0.0)
         return cls(
             c=m.c, T=m.T,
@@ -251,9 +288,12 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     with A = (Theta_c f)(1, 0).  The removable singularities at r = 1 and at
     the sample abscissae T log r = k pi are taken by their limit branches
     (the sinc continuation) inside a 1e-8 window, which avoids catastrophic
-    cancellation on the lattice.  No a-priori truncation bound is attached;
-    the ``empirical_tail`` combines the last symmetric block with a numeric
-    integral-comparison estimate and is not certified.
+    cancellation on the lattice; at most one lattice term falls inside it.
+    The 2n lattice terms are formed as one array and summed in the order
+    1, -1, 2, -2, ...: each symmetric block compensated on its own, the
+    blocks then compensated in turn.  No a-priori truncation bound is
+    attached; the ``empirical_tail`` adds the last symmetric block to the
+    closed-form gauge of the omitted blocks and is not certified.
     """
     if not (r > 0.0):
         raise PreconditionError("reconstruction radius must be positive")
@@ -272,42 +312,74 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     else:
         acc.add(sin_x * s.center_value / x)
 
-    last_block = 0.0 + 0j
-    scale_max = 0.0
-    for k in range(1, n + 1):
-        block = _Kahan()
-        for kk in (k, -k):
-            sk = s.weighted_ring[kk]
-            scale_max = max(scale_max, abs(sk))
-            kp = kk * math.pi
-            if abs(x - kp) < _GRID_LIMIT_WINDOW:
-                # sin(x)/(k pi - x) -> (-1)^{k+1} sinc((x - k pi)/pi)
-                cont = (-1.0) ** (kk + 1) * float(sinc((x - kp) / math.pi).real)
-                term = x * (-1.0) ** (kk + 1) * sk * cont / kp
-            else:
-                term = sin_x * x * (-1.0) ** (kk + 1) * sk / (kp * (kp - x))
-            block.add(term)
-        acc.add(block.total)
-        last_block = block.total
+    ks, _, weighted = s._blocks
+    ks, weighted = ks[:2 * n], weighted[:2 * n]
+    kp = ks * math.pi
+    sign = np.where(ks % 2 == 0, -1.0, 1.0)  # (-1)^{k+1}
+    near = np.flatnonzero(np.abs(x - kp) < _GRID_LIMIT_WINDOW)
+    denom = kp * (kp - x)
+    denom[near] = 1.0
+    terms = _div_real(sin_x * x * sign * weighted, denom)
+    for i in near.tolist():
+        # sin(x)/(k pi - x) -> (-1)^{k+1} sinc((x - k pi)/pi)
+        k = int(ks[i])
+        cont = (-1.0) ** (k + 1) * float(sinc((x - kp[i]) / math.pi).real)
+        terms[i] = x * (-1.0) ** (k + 1) * complex(weighted[i]) * cont / float(kp[i])
 
-    tail = abs(last_block) + _reconstruct_tail_estimate(x, n, scale_max)
+    # a fresh _Kahan per block, adding the k term and then the -k term
+    zero = 0.0 + 0j
+    first = terms[0::2] + zero
+    first_total = zero + first
+    second = terms[1::2] + (first - (first_total - zero))
+    blocks = first_total + second
+    acc.extend(blocks.tolist())
+
+    scale_max = float(np.max(np.abs(weighted)))
+    tail = abs(complex(blocks[-1])) + _reconstruct_tail_estimate(x, n, scale_max)
     return TruncationReport(value=acc.total, n_terms=2 * n + 2, apriori_bound=None,
                             empirical_tail=tail, formula_id="valiron_recon")
 
 
-def _reconstruct_tail_estimate(x: float, n: int, scale: float) -> float:
-    """Numeric integral-comparison gauge of the omitted |k| > n blocks.
+# Hurwitz-zeta terms of the small-|x| tail series; (1/4)^(2*16) < 1e-19
+_TAIL_SERIES_TERMS = 16
 
-    C sum_{|k|>n} 1/|k pi (k pi - x)| with C = |x sin-envelope| * scale; a
-    partial sum plus an integral remainder.  Heuristic, not certified.
+
+def _reconstruct_tail_estimate(x: float, n: int, scale: float) -> float:
+    """Closed-form gauge of the omitted |k| > n blocks.
+
+    |x| scale sum_{|k|>n} 1/|k pi (k pi - x)|, that is |x| scale S/pi^2 with
+    y = |x|/pi and S = sum_{k>n} 1/(k|k - y|) + 1/(k(k + y)).  Split into
+    partial fractions and summed through the digamma series psi(z) =
+    -gamma + sum_{k>=0} (1/(k+1) - 1/(k+z)) (DLMF 5.7.6), with
+    m = max(n, floor(y)):
+
+        y S = psi(n+1+y) - psi(m+1-y)
+              + 2(psi(m+1) - psi(n+1)) + psi(y-n) - psi(y-m)
+
+    where the second line, the terms n < k <= m below the pole, is absent
+    when m = n.  The cost does not grow with |x|.  For y <= (n+1)/4 the
+    first line cancels; there S = 2 sum_j y^{2j} zeta(2j+2, n+1) (Hurwitz
+    zeta) is used instead.  On a lattice abscissa x = k pi with |k| > n the
+    gauge is +inf.  Heuristic, not certified.
     """
     if scale == 0.0 or x == 0.0:
         return 0.0
-    ks = np.arange(n + 1, n + 20001, dtype=float)
-    kp = ks * math.pi
-    partial = float(np.sum(1.0 / (kp * np.abs(kp - x)) + 1.0 / (kp * np.abs(kp + x))))
-    remainder = 2.0 / (math.pi ** 2 * (n + 20000))
-    return abs(x) * scale * (partial + remainder)
+    ax = abs(x)
+    y = ax / math.pi
+    k_near = round(y)  # (k pi)/pi is not always k (k = 11, 13, ...), so test the product
+    if k_near > n and k_near * math.pi == ax:
+        return math.inf
+    if y <= (n + 1) / 4.0:
+        j = np.arange(_TAIL_SERIES_TERMS - 1, -1, -1)  # smallest terms first
+        s = 2.0 * float(np.sum(y ** (2 * j) * special.zeta(2.0 * j + 2.0, n + 1.0)))
+    else:
+        psi = special.digamma
+        m = max(n, math.floor(y))
+        ys = float(psi(n + 1 + y) - psi(m + 1 - y))
+        if m > n:
+            ys += float(2.0 * (psi(m + 1.0) - psi(n + 1.0)) + psi(y - n) - psi(y - m))
+        s = ys / y
+    return ax * scale * s / math.pi ** 2
 
 
 def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") -> complex:
@@ -325,6 +397,15 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     by r^c so both variants estimate f(r, 0).  Both are algebraically equal
     to r^{-c} * valiron_reconstruct; the kernel is entire, so no limit
     branches are needed on the lattice.
+
+    Far out on the lattice (|c| |k| pi/T beyond about 709) the raw sample
+    and the weighted kernel leave the double range in opposite directions,
+    and their product is 0 * inf or inf * 0.  A term that is not finite is
+    therefore formed from the weighted sample instead, with the e^{-/+k nu}
+    factors cancelled: log y * weighted_k * r^{-c} sinc(log y - k) / k.
+    Finite terms keep the product above.  The 2n lattice terms are formed
+    as one array and summed in the order 1, -1, 2, -2, ... through one
+    compensated sum.
     """
     if variant not in ("weighted", "plain"):
         raise PreconditionError("variant must be 'weighted' or 'plain'")
@@ -336,26 +417,27 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     y = r ** (T / math.pi)          # lattice variable: samples sit at e^k
     log_r = math.log(r)
     log_y = T * log_r / math.pi
-
+    ks, raw, weighted = s._blocks
+    ks, raw, weighted = ks[:2 * n], raw[:2 * n], weighted[:2 * n]
     if variant == "weighted":
-        nu = c * math.pi / T
-        head = float(lin_value(nu, y))  # lin is real on the positive reals
-        acc = _Kahan()
-        acc.add(head * (log_r * s.center_derivative + s.center_value))
-        for k in range(1, n + 1):
-            for kk in (k, -k):
-                kernel = float(lin_value(nu, math.exp(-kk) * y))
-                acc.add(log_y * s.ring_samples[kk] * kernel / kk)
-        return acc.total
-    # plain: lin_0 with weighted samples, then strip the r^c
-    head = float(lin_value(0.0, y))
+        nu, samples = c * math.pi / T, raw
+    else:  # lin_0 with the weighted samples; the r^c is stripped at the end
+        nu, samples = 0.0, weighted
+
+    head = float(lin_value(nu, y))  # lin is real on the positive reals
     acc = _Kahan()
     acc.add(head * (log_r * s.center_derivative + s.center_value))
-    for k in range(1, n + 1):
-        for kk in (k, -k):
-            kernel = float(lin_value(0.0, math.exp(-kk) * y))
-            acc.add(log_y * s.weighted_ring[kk] * kernel / kk)
-    return acc.total * r ** (-c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # math.exp, not np.exp: the kernel arguments round as in a scalar loop
+        kernel = lin_value(nu, np.array([math.exp(-k) for k in ks.tolist()]) * y)
+        terms = _div_real(log_y * samples * kernel, ks)
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        kb = ks[bad]
+        kernel = y ** (-nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
+        terms[bad] = _div_real(log_y * weighted[bad] * kernel, kb)
+    acc.extend(terms.tolist())
+    return acc.total if variant == "weighted" else acc.total * r ** (-c)
 
 
 # ---------------------------------------------------------------------------
