@@ -4,17 +4,13 @@ Subcommands: ``run``, ``list-functions``, ``version``.  Experiments echo
 their full configuration into a ``#``-prefixed header, serialize floats in
 shortest round-trip form, and exit nonzero iff any row failed its contract,
 so identical configs produce byte-identical artifacts suitable for diffing.
-
-The environment variable MELLIN_POLAR_THREADS caps inner parallelism
-(0 = serial).  The implementation computes serially end to end, so any cap
-is honored; the variable is validated and echoed for reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,7 +27,7 @@ from .contours import (
     cauchy_value,
     residue_theorem_check,
 )
-from .core import PolarPoint, PreconditionError, ToleranceNotMetError
+from .core import DomainError, PolarPoint, PreconditionError, ToleranceNotMetError
 from .functions import LogGrid, function_registry
 from .sampling import (
     SampleSet,
@@ -95,6 +91,14 @@ class ExperimentConfig:
             raise UsageError("n: at least one value required")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise UsageError("n: list must be strictly increasing")
+        numeric = {"c": self.c, "T": self.T, "a": self.a, "t-shift": self.t_shift,
+                   "alpha": self.alpha, "point": self.point, "theta": self.theta,
+                   "tol": self.tol, "w": self.w, "w0": self.w0, "x": self.x,
+                   "r-grid": self.r_grid[:2]}
+        for key, value in numeric.items():
+            parts = value if isinstance(value, tuple) else (value,)
+            if not all(cmath.isfinite(v) for v in parts if v is not None):
+                raise UsageError(f"{key}: must be finite")
         if self.tol <= 0:
             raise UsageError("tol: must be positive")
         lo, hi, count = self.r_grid
@@ -166,6 +170,8 @@ def _run_derivative_convergence(cfg: ExperimentConfig, which: str) -> list[Resul
     member = _build_member(cfg)
     if not hasattr(member, "weighted_profile"):
         raise UsageError("function: this experiment needs a Bernstein member")
+    if which == "valiron" and min(cfg.n_list) < 2:
+        raise UsageError("n: the Valiron-derived series needs n >= 2")
     p = PolarPoint(*cfg.point)
     x0 = math.log(p.r)
     oracle = complex(member.theta_weighted_profile(x0, p.theta)) * math.exp(-member.c * x0)
@@ -175,7 +181,7 @@ def _run_derivative_convergence(cfg: ExperimentConfig, which: str) -> list[Resul
         if which == "boas":
             rep = boas_derivative(member, p, n)
         else:
-            rep = valiron_derivative(member, p, max(n, 2))
+            rep = valiron_derivative(member, p, n)
         err = abs(rep.value - oracle)
         rows.append(ResultRow(
             experiment=cfg.experiment, inputs=f"n={n}", value=rep.value,
@@ -339,18 +345,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[ResultRow], str]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def thread_cap() -> int:
-    """Validated MELLIN_POLAR_THREADS (0 = serial, the default and only mode)."""
-    raw = os.environ.get("MELLIN_POLAR_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"MELLIN_POLAR_THREADS: not an integer: {raw!r}")
-    if cap < 0:
-        raise UsageError("MELLIN_POLAR_THREADS: must be >= 0")
-    return cap
-
-
 def _parse_point(text: str) -> tuple[float, float]:
     try:
         r_str, th_str = text.split(",")
@@ -474,7 +468,7 @@ def _make_parser() -> argparse.ArgumentParser:
                       help="append wall-clock column (breaks byte determinism)")
 
     sub.add_parser("list-functions", help="print the function registry")
-    sub.add_parser("version", help="print version and environment caps")
+    sub.add_parser("version", help="print the version")
     return parser
 
 
@@ -482,12 +476,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        cap = thread_cap()
         if args.command == "list-functions":
             print(list_functions())
             return 0
         if args.command == "version":
-            print(f"mellin-polar {__version__} (threads cap: {cap})")
+            print(f"mellin-polar {__version__}")
             return 0
         flags = {key: getattr(args, key) for key in
                  ("function", "c", "T", "a", "t_shift", "alpha", "point", "theta",
@@ -499,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ToleranceNotMetError) as exc:
+    except (PreconditionError, DomainError, ToleranceNotMetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,6 +41,7 @@ from scipy import special
 
 from .core import (
     Domain,
+    DomainError,
     PolarFunction,
     PolarPoint,
     PreconditionError,
@@ -208,13 +209,6 @@ class Curve:
             hi = max(hi, float(np.max(ys)))
         return lo, hi
 
-    def min_chart_distance(self, zeta: complex) -> float:
-        us = np.linspace(-0.5, 0.5, 129)
-        d = math.inf
-        for seg in self.segments:
-            d = min(d, float(np.min(np.abs(seg.chart(us) - zeta))))
-        return d
-
 
 @dataclass(frozen=True)
 class LogRectangle:
@@ -288,9 +282,16 @@ def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -
     half = 0.5 * (b - a)
     u = 0.5 * (a + b) + half * nodes
     vals = np.asarray(fn_u(u), dtype=complex)
-    re = math.fsum((weights * vals.real).tolist())
-    im = math.fsum((weights * vals.imag).tolist())
-    return half * complex(re, im)
+    try:
+        total = half * complex(math.fsum((weights * vals.real).tolist()),
+                               math.fsum((weights * vals.imag).tolist()))
+    except (ValueError, OverflowError):  # fsum of inf - inf, or a sum past the float range
+        total = complex(math.nan)
+    # a non-finite pass makes every gap NaN or inf, and bisection would then
+    # run to the full refinement depth
+    if not cmath.isfinite(total):
+        raise DomainError("the integrand is not finite on the contour")
+    return total
 
 
 def _adaptive(fn_u, a: float, b: float, tol: float, depth: int,

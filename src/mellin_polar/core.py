@@ -52,7 +52,6 @@ __all__ = [
     "divide",
     "higher_mellin_derivative",
     "mellin_derivative",
-    "mellin_op",
     "multiply",
     "polar_derivative_fd",
     "scale",
@@ -154,46 +153,44 @@ class Domain:
 WHOLE_PLANE = Domain()
 
 
-def _thunk(value):
-    """Resolve a lazily constructed attribute (value, callable or None)."""
-    return value() if callable(value) and not isinstance(value, PolarFunction) else value
-
-
 class PolarFunction:
     """Evaluatable complex-valued function on a sub-domain of H.
 
     The evaluator works in the chart: ``log_fn(x, theta)`` with x = log r,
-    vectorized over numpy arrays.  Optional closed-form metadata:
+    vectorized over numpy arrays.  Closed-form derivatives follow one
+    protocol, the optional ``theta_chain``: a map ``c -> PolarFunction``
+    giving Theta_c f in closed form.  Its results carry chains of their own
+    where the closed form continues, so following the chain gives
+    Theta_c^k f for as many orders as it reaches.  Every other closed form
+    derives from it; the polar derivative is
 
-    ``dpol``        the polar derivative as another PolarFunction (may be a
-                    zero-argument thunk, resolved lazily; chains of these
-                    give higher polar derivatives),
-    ``dpol_order``  ``(x, theta, j) -> value`` for the j-th polar derivative,
-    ``theta_chain`` ``c -> PolarFunction`` producing Theta_c f in closed form
-                    (structurally, so the chain can be iterated stably).
+        D_pol f = e^{-(x + i theta)} Theta_0 f        (``dpol``).
 
-    When present, closed forms must agree with the finite-difference oracle;
+    When present, the chain must agree with the finite-difference oracle;
     that is a tested contract, not an assumption.
     """
 
-    __slots__ = ("log_fn", "domain", "_dpol", "dpol_order", "theta_chain", "name", "kernel")
+    __slots__ = ("log_fn", "domain", "theta_chain", "name", "kernel")
 
-    def __init__(self, log_fn, domain=WHOLE_PLANE, dpol=None, dpol_order=None,
-                 theta_chain=None, name=""):
+    def __init__(self, log_fn, domain=WHOLE_PLANE, theta_chain=None, name=""):
         self.log_fn = log_fn
         self.domain = domain
-        self._dpol = dpol
-        self.dpol_order = dpol_order
         self.theta_chain = theta_chain
         self.name = name
         self.kernel = None  # set by function_library factories for profiled forms
 
     @property
     def dpol(self) -> Optional["PolarFunction"]:
-        """Closed-form polar derivative, or None."""
-        resolved = _thunk(self._dpol)
-        self._dpol = resolved  # cache; idempotent, safe under concurrent reads
-        return resolved
+        """Closed-form polar derivative e^{-(x + i theta)} Theta_0 f, or None."""
+        if self.theta_chain is None:
+            return None
+        theta0 = self.theta_chain(0.0)
+
+        def log_fn(x, th):
+            w = np.asarray(x, dtype=float) + 1j * np.asarray(th, dtype=float)
+            return np.exp(-w) * theta0.log_fn(x, th)
+
+        return PolarFunction(log_fn, domain=self.domain, name=f"dpol[{self.name}]")
 
     def __call__(self, p: PolarPoint) -> complex:
         return complex(self.log_fn(math.log(p.r), p.theta))
@@ -212,8 +209,11 @@ class PolarFunction:
 
 
 # ---------------------------------------------------------------------------
-# Algebra of functions with derivative chains.  D_pol obeys the familiar
-# sum/product/quotient rules, which is what makes these combinators exact.
+# Algebra of functions with Theta-chains.  Theta_c is linear and obeys
+# Leibniz rules (Theta_c = d/dzeta + c in the chart zeta = log r + i theta),
+# which is what makes these combinators exact:
+#     Theta_c(f g) = (Theta_c f) g + f (Theta_0 g),
+#     Theta_c(f/g) = (Theta_c f)/g - f (Theta_0 g)/g^2.
 # ---------------------------------------------------------------------------
 
 def constant(value: complex, name: str = "") -> PolarFunction:
@@ -222,10 +222,8 @@ def constant(value: complex, name: str = "") -> PolarFunction:
                       if np.ndim(x) or np.ndim(th) else value,
                       name=name or f"const({value})")
     if value == 0.0:
-        f._dpol = f
         f.theta_chain = lambda c: f
     else:
-        f._dpol = constant(0.0)
         f.theta_chain = lambda c: constant(c * value)
     return f
 
@@ -234,9 +232,6 @@ def scale(f: PolarFunction, alpha: complex, name: str = "") -> PolarFunction:
     alpha = complex(alpha)
     g = PolarFunction(lambda x, th: alpha * f.log_fn(x, th), domain=f.domain,
                       name=name or f"{alpha}*{f.name}")
-    g._dpol = (lambda: scale(f.dpol, alpha)) if f._dpol is not None else None
-    if f.dpol_order is not None:
-        g.dpol_order = lambda x, th, j: alpha * f.dpol_order(x, th, j)
     if f.theta_chain is not None:
         g.theta_chain = lambda c: scale(f.theta_chain(c), alpha)
     return g
@@ -246,8 +241,6 @@ def add(f: PolarFunction, g: PolarFunction, name: str = "") -> PolarFunction:
     dom = _intersect(f.domain, g.domain)
     h = PolarFunction(lambda x, th: f.log_fn(x, th) + g.log_fn(x, th), domain=dom,
                       name=name or f"({f.name}+{g.name})")
-    if f._dpol is not None and g._dpol is not None:
-        h._dpol = lambda: add(f.dpol, g.dpol)
     if f.theta_chain is not None and g.theta_chain is not None:
         h.theta_chain = lambda c: add(f.theta_chain(c), g.theta_chain(c))
     return h
@@ -257,8 +250,9 @@ def multiply(f: PolarFunction, g: PolarFunction, name: str = "") -> PolarFunctio
     dom = _intersect(f.domain, g.domain)
     h = PolarFunction(lambda x, th: f.log_fn(x, th) * g.log_fn(x, th), domain=dom,
                       name=name or f"({f.name}*{g.name})")
-    if f._dpol is not None and g._dpol is not None:
-        h._dpol = lambda: add(multiply(f.dpol, g), multiply(f, g.dpol))
+    if f.theta_chain is not None and g.theta_chain is not None:
+        h.theta_chain = lambda c: add(multiply(f.theta_chain(c), g),
+                                      multiply(f, g.theta_chain(0.0)))
     return h
 
 
@@ -267,29 +261,11 @@ def divide(f: PolarFunction, g: PolarFunction, name: str = "") -> PolarFunction:
     dom = _intersect(f.domain, g.domain)
     h = PolarFunction(lambda x, th: f.log_fn(x, th) / g.log_fn(x, th), domain=dom,
                       name=name or f"({f.name}/{g.name})")
-    if f._dpol is not None and g._dpol is not None:
-        h._dpol = lambda: divide(
-            add(multiply(f.dpol, g), scale(multiply(f, g.dpol), -1.0)),
-            multiply(g, g))
+    if f.theta_chain is not None and g.theta_chain is not None:
+        h.theta_chain = lambda c: add(
+            divide(f.theta_chain(c), g),
+            scale(divide(multiply(f, g.theta_chain(0.0)), multiply(g, g)), -1.0))
     return h
-
-
-def mellin_op(f: PolarFunction, c: float, name: str = "") -> PolarFunction:
-    """Theta_c f in closed form, built from f's polar-derivative chain.
-
-    D_pol(Theta_c f) = Theta_{c+1}(D_pol f), so the result carries its own
-    derivative chain and the construction can be iterated.
-    """
-    if f.dpol is None:
-        raise PreconditionError("mellin_op needs a closed-form polar derivative")
-    d = f.dpol
-
-    def log_fn(x, th):
-        return np.exp(x + 1j * np.asarray(th)) * d.log_fn(x, th) + c * f.log_fn(x, th)
-
-    g = PolarFunction(log_fn, domain=f.domain, name=name or f"Theta_{c}[{f.name}]")
-    g._dpol = (lambda: mellin_op(d, c + 1.0)) if d._dpol is not None else None
-    return g
 
 
 def _intersect(a: Domain, b: Domain) -> Domain:
@@ -346,15 +322,13 @@ def _polar_derivative_fd_grid(f: PolarFunction, x, theta, h: float = DEFAULT_FD_
 def mellin_derivative(f: PolarFunction, p: PolarPoint, c: float) -> complex:
     """(Theta_c f)(p) = r e^{i theta} (D_pol f)(p) + c f(p).
 
-    Uses the closed-form polar derivative when the function carries one,
-    the finite-difference oracle otherwise.
+    Evaluates the function's Theta-chain when it carries one, and the
+    finite-difference oracle for D_pol otherwise.
     """
-    if f.dpol is not None:
+    if f.theta_chain is not None:
         f.domain.require(p)
-        d = f.dpol(p)
-    else:
-        d = polar_derivative_fd(f, p)
-    return p.z * d + c * f(p)
+        return f.theta_chain(c)(p)
+    return p.z * polar_derivative_fd(f, p) + c * f(p)
 
 
 def cauchy_riemann_residual(f: PolarFunction, p: PolarPoint, h: float = 1e-5) -> float:
@@ -429,66 +403,47 @@ def _fd_derivative_function(f: PolarFunction, h: float) -> PolarFunction:
     """D_pol f as a PolarFunction backed by the finite-difference oracle."""
     shrunk = Domain(f.domain.theta_min, f.domain.theta_max, f.domain.excluded)
     return PolarFunction(lambda x, th: _polar_derivative_fd_grid(f, x, th, h),
-                         domain=shrunk, name=f"fd_dpol({f.name})")
+                         domain=shrunk, name=f"fd[D_pol {f.name}]")
 
 
 def higher_mellin_derivative(f: PolarFunction, p: PolarPoint, c: float, k: int) -> complex:
-    """(Theta_c^k f)(p).
+    """(Theta_c^k f)(p), by two routes taken in turn.
 
-    Route, in order of preference:
-      * the function's structural Theta-chain (exact, stable at any order);
-      * closed-form D_pol^j metadata through the Stirling expansion;
-      * a chain of closed-form first derivatives, iterating Theta_c;
-      * nested finite differences (central, widening steps).  This last route
-        is ill-conditioned: beyond order 4 a ConditioningWarning is emitted
-        and the digits decay quickly.
+    1. The function's Theta-chain is followed for as many of the k orders as
+       it reaches.  This is exact and stable at any order.
+    2. The orders the chain lacks are taken by nested central finite
+       differences of the last closed form reached: D_pol^j for j up to the
+       missing order m, with widening steps, combined by the Stirling sum
+       Theta_c^m = sum_j S_c(m, j) (r e^{i theta})^j D_pol^j.  This route is
+       ill-conditioned: beyond order 4 a ConditioningWarning is emitted and
+       the digits decay quickly.
     """
     if k < 0:
         raise PreconditionError("derivative order k must be >= 0")
     if k == 0:
         f.domain.require(p)
-        return f(p)
-    if f.theta_chain is not None:
-        g = f
-        for _ in range(k):
-            g = g.theta_chain(c)
+    g, done = f, 0
+    while done < k and g.theta_chain is not None:
+        g, done = g.theta_chain(c), done + 1
+    if done == k:
         return g(p)
-    if f.dpol_order is not None:
-        table = stirling_table(c, k)
-        x, th = math.log(p.r), p.theta
-        zj = 1.0 + 0j
-        total = 0.0 + 0j
-        for j in range(k + 1):
-            total += table.value(k, j) * zj * complex(f.dpol_order(x, th, j))
-            zj *= p.z
-        return total
-    if f.dpol is not None:
-        chain, depth = f, 0
-        while depth < k and chain.dpol is not None:
-            chain, depth = chain.dpol, depth + 1
-        if depth == k:  # closed first derivatives available to the needed depth
-            g = f
-            for _ in range(k):
-                g = mellin_op(g, c)
-            return g(p)
-    # Nested finite differences: build D_pol^j numerically, then Stirling-sum.
-    if k > 4:
+    m = k - done
+    if m > 4:
         warnings.warn(
-            f"nested finite-difference polar derivatives of order {k} > 4 are "
+            f"nested finite-difference polar derivatives of order {m} > 4 are "
             "ill-conditioned; supply closed-form derivatives for trustworthy digits",
             ConditioningWarning, stacklevel=2)
-    table = stirling_table(c, k)
+    table = stirling_table(c, m)
     x, th = math.log(p.r), p.theta
-    derivs = [complex(f.log_fn(x, th))]
-    g = f
-    for j in range(1, k + 1):
+    derivs = [complex(g.log_fn(x, th))]
+    for j in range(1, m + 1):
         h = _NESTED_FD_STEPS[min(j - 1, len(_NESTED_FD_STEPS) - 1)]
         g = _fd_derivative_function(g, h)
         derivs.append(complex(g.log_fn(x, th)))
     zj = 1.0 + 0j
     total = 0.0 + 0j
-    for j in range(k + 1):
-        total += table.value(k, j) * zj * derivs[j]
+    for j in range(m + 1):
+        total += table.value(m, j) * zj * derivs[j]
         zj *= p.z
     return total
 
@@ -532,8 +487,11 @@ class TaylorExpansion:
 def taylor_expand(f: PolarFunction, p0: PolarPoint, c: float, K: int) -> TaylorExpansion:
     """Expansion coefficients a_k = (Theta_c^k f)(p0)/k! for k = 0..K.
 
-    Inherits the conditioning limits of :func:`higher_mellin_derivative`;
-    orders beyond ~4 need structural closed forms on f.
+    Each coefficient comes from :func:`higher_mellin_derivative`, so it is
+    exact for the orders f's Theta-chain reaches.  Orders past the end of
+    the chain fall to nested finite differences, which lose digits quickly
+    once more than about 4 orders are missing: expansions of high order
+    need a chain that reaches K.
     """
     if K < 0:
         raise PreconditionError("expansion order K must be >= 0")

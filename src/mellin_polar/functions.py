@@ -24,7 +24,6 @@ of the reconstruction formulas.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -39,7 +38,6 @@ from .core import (
     PolarPoint,
     PreconditionError,
     WHOLE_PLANE,
-    constant,
     mellin_derivative,
     scale,
 )
@@ -253,10 +251,6 @@ def _profiled(weight: float, rate: float, profile, name: str) -> PolarFunction:
     f.kernel = (weight, rate, profile)
     dG = profile.deriv()
     if dG is not None:
-        # D_pol lowers the weight exponent by one: the result is again profiled.
-        f._dpol = lambda: _profiled(
-            weight + 1.0, rate, _combine_profiles(rate, dG, -weight, profile),
-            name=f"dpol[{name}]")
         f.theta_chain = lambda c: _profiled(
             weight, rate, _combine_profiles(rate, dG, c - weight, profile),
             name=f"Theta_{c}[{name}]")
@@ -267,7 +261,7 @@ def make_power(a: complex) -> PolarFunction:
     """f(r, theta) = (r e^{i theta})^a := e^{a (log r + i theta)}.
 
     Single-valued on H by construction; eigenfunction of every Theta_c with
-    eigenvalue a + c, so all derivative metadata is exact at any order.
+    eigenvalue a + c, so its Theta-chain is exact at any order.
     """
     a = complex(a)
 
@@ -275,16 +269,6 @@ def make_power(a: complex) -> PolarFunction:
         return np.exp(a * (np.asarray(x, dtype=float) + 1j * np.asarray(th, dtype=float)))
 
     f = PolarFunction(log_fn, domain=WHOLE_PLANE, name=f"power({a})")
-
-    def dpol_order(x, th, j):
-        coef = 1.0 + 0j
-        for i in range(j):
-            coef *= a - i
-        w = np.asarray(x, dtype=float) + 1j * np.asarray(th, dtype=float)
-        return coef * np.exp((a - j) * w)
-
-    f.dpol_order = dpol_order
-    f._dpol = constant(0.0) if a == 0 else (lambda: scale(make_power(a - 1.0), a))
     f.theta_chain = lambda c: scale(f, a + c, name=f"{a + c}*power({a})")
     return f
 
@@ -332,23 +316,19 @@ class MellinBernsteinMember:
     weighting of Theta_c f and serves as the oracle in convergence studies.
     """
 
-    __slots__ = ("f", "c", "T", "growth_constant", "p_class", "name",
+    __slots__ = ("f", "c", "T", "growth_constant", "name",
                  "weighted_profile", "theta_weighted_profile")
 
     def __init__(self, f: PolarFunction, c: float, T: float, growth_constant: float,
-                 name: str = "", weighted_profile=None, theta_weighted_profile=None,
-                 p_class: str = "infinity"):
+                 name: str = "", weighted_profile=None, theta_weighted_profile=None):
         if not (T > 0.0):
             raise PreconditionError("exponential type T must be positive")
         if not (growth_constant > 0.0):
             raise PreconditionError("growth constant must be positive")
-        if p_class != "infinity":
-            raise PreconditionError("only the p = infinity norm class is implemented")
         self.f = f
         self.c = float(c)
         self.T = float(T)
         self.growth_constant = float(growth_constant)
-        self.p_class = p_class
         self.name = name or f.name
         self.weighted_profile = weighted_profile or _generic_weighted_profile(f, self.c)
         self.theta_weighted_profile = theta_weighted_profile or _generic_theta_profile(f, self.c)
@@ -359,10 +339,6 @@ class MellinBernsteinMember:
     def theta_c(self, p: PolarPoint) -> complex:
         """(Theta_c f)(p) at the member's own weight c."""
         return mellin_derivative(self.f, p, self.c)
-
-    def error_scale(self, p: PolarPoint) -> float:
-        """C_f r^{-c} e^{T |theta|}, the prefactor of the truncation bounds."""
-        return self.growth_constant * p.r ** (-self.c) * math.exp(self.T * abs(p.theta))
 
     def as_class(self, T_new: float, growth_constant: float | None = None) -> "MellinBernsteinMember":
         """View the member inside a wider class (T_new >= T keeps the bound)."""
@@ -387,15 +363,13 @@ def _generic_weighted_profile(f: PolarFunction, c: float):
 
 
 def _generic_theta_profile(f: PolarFunction, c: float):
-    if f.theta_chain is None and f.dpol is None:
+    if f.theta_chain is None:
         return None
-    g = f.theta_chain(c) if f.theta_chain is not None else None
+    g = f.theta_chain(c)
 
     def twp(x, theta):
         x = np.asarray(x, dtype=float)
-        if g is not None:
-            return np.exp(c * x) * g.values_log(x, theta)
-        raise PreconditionError("no closed-form Theta_c oracle on this member")
+        return np.exp(c * x) * g.values_log(x, theta)
     return twp
 
 
@@ -478,16 +452,51 @@ def power_member(c: float, b: float) -> MellinBernsteinMember:
 
 
 # ---------------------------------------------------------------------------
-# The three space-preserving transformations
+# The three space-preserving transformations: chart-affine maps
+# zeta -> a zeta + b of zeta = log r + i theta
 # ---------------------------------------------------------------------------
 
-def _wrap_function(base: PolarFunction, log_fn, dpol_builder, theta_builder, name):
-    g = PolarFunction(log_fn, domain=base.domain, name=name)
-    if base._dpol is not None:
-        g._dpol = dpol_builder
-    if base.theta_chain is not None:
-        g.theta_chain = theta_builder
+def _pullback(f: PolarFunction, a: float, b: complex, s: float, name: str) -> PolarFunction:
+    """g(zeta) = s f(a zeta + b), with the chain Theta_c g = a s (Theta_{c/a} f)(a zeta + b)."""
+    br, bi = b.real, b.imag
+    domain = f.domain
+    if domain != WHOLE_PLANE:
+        pre = [(q.log_z - b) / a for q in domain.excluded]
+        domain = Domain((domain.theta_min - bi) / a, (domain.theta_max - bi) / a,
+                        tuple(PolarPoint(math.exp(z.real), z.imag) for z in pre))
+
+    def log_fn(x, th):
+        return s * f.log_fn(a * x + br, a * th + bi)
+
+    g = PolarFunction(log_fn, domain=domain, name=name)
+    if f.theta_chain is not None:
+        g.theta_chain = lambda c: _pullback(f.theta_chain(c / a), a, b, a * s,
+                                            f"Theta_{c}[{name}]")
     return g
+
+
+def _chart_affine(m: MellinBernsteinMember, a: float, b: complex, s: float,
+                  name: str) -> MellinBernsteinMember:
+    """g(zeta) = s f(a zeta + b) for a member f of class (c, T, C_f), a > 0.
+
+    s must equal e^{c Re b} (up to rounding): the weight then cancels and
+    g lies in class (a c, a T, C_f e^{T |Im b|}) with the pulled-back
+    profiles
+
+        wp_g(x, theta)  = wp_f(a x + Re b, a theta + Im b),
+        twp_g(x, theta) = a twp_f(a x + Re b, a theta + Im b).
+
+    Derivative law, at every order the chain of f reaches:
+    (Theta_{c'} g)(zeta) = a s (Theta_{c'/a} f)(a zeta + b).
+    """
+    br, bi = b.real, b.imag
+    wp_f, twp_f = m.weighted_profile, m.theta_weighted_profile
+    return MellinBernsteinMember(
+        _pullback(m.f, a, b, s, name), a * m.c, a * m.T,
+        m.growth_constant * math.exp(m.T * abs(bi)), name=name,
+        weighted_profile=lambda x, th: wp_f(a * x + br, a * th + bi),
+        theta_weighted_profile=(None if twp_f is None else
+                                (lambda x, th: a * twp_f(a * x + br, a * th + bi))))
 
 
 def mellin_translate(m: MellinBernsteinMember, t: float) -> MellinBernsteinMember:
@@ -498,29 +507,8 @@ def mellin_translate(m: MellinBernsteinMember, t: float) -> MellinBernsteinMembe
     """
     if not (t > 0.0):
         raise PreconditionError("translation parameter t must be positive")
-    c, lt = m.c, math.log(t)
-    f = m.f
-
-    def translated(base: PolarFunction, weight_power: float, nm: str) -> PolarFunction:
-        # t^{weight_power} * base(t r, theta)
-        def log_fn(x, th):
-            return t ** weight_power * base.values_log(np.asarray(x, dtype=float) + lt, th)
-        g = PolarFunction(log_fn, domain=base.domain, name=nm)
-        if base._dpol is not None:
-            g._dpol = lambda: translated(base.dpol, weight_power + 1.0, f"dpol[{nm}]")
-        if base.theta_chain is not None:
-            g.theta_chain = lambda cc: translated(base.theta_chain(cc), weight_power,
-                                                  f"Theta_{cc}[{nm}]")
-        return g
-
-    name = f"translate({m.name}, t={t})"
-    g = translated(f, c, name)
-    wp_f, twp_f = m.weighted_profile, m.theta_weighted_profile
-    return MellinBernsteinMember(
-        g, c, m.T, m.growth_constant, name=name,
-        weighted_profile=lambda x, th: wp_f(np.asarray(x, dtype=float) + lt, th),
-        theta_weighted_profile=(None if twp_f is None else
-                                (lambda x, th: twp_f(np.asarray(x, dtype=float) + lt, th))))
+    return _chart_affine(m, 1.0, complex(math.log(t), 0.0), t ** m.c,
+                         f"translate({m.name}, t={t})")
 
 
 def mellin_dilate(m: MellinBernsteinMember) -> MellinBernsteinMember:
@@ -528,47 +516,7 @@ def mellin_dilate(m: MellinBernsteinMember) -> MellinBernsteinMember:
 
     Derivative law: (Theta_{c/T} h)(r, theta) = (1/T)(Theta_c f)(r^{1/T}, theta/T).
     """
-    T, c = m.T, m.c
-    f = m.f
-
-    def dilated(base: PolarFunction, outer: float, nm: str) -> PolarFunction:
-        # outer * base(r^{1/T}, theta/T); D_pol multiplies by (1/T)(re^{i th})^{1/T - 1}
-        def log_fn(x, th):
-            x = np.asarray(x, dtype=float)
-            th = np.asarray(th, dtype=float)
-            return outer * base.values_log(x / T, th / T)
-        g = PolarFunction(log_fn, domain=Domain(f.domain.theta_min * T, f.domain.theta_max * T)
-                          if f.domain is not WHOLE_PLANE else WHOLE_PLANE, name=nm)
-        if base._dpol is not None:
-            def dp():
-                inner = dilated(base.dpol, outer / T, f"dpol[{nm}]*")
-                def log_fn_d(x, th):
-                    x = np.asarray(x, dtype=float)
-                    th = np.asarray(th, dtype=float)
-                    w = x + 1j * th
-                    return np.exp((1.0 / T - 1.0) * w) * inner.values_log(x, th)
-                d = PolarFunction(log_fn_d, domain=g.domain, name=f"dpol[{nm}]")
-                if inner._dpol is not None:
-                    # D_pol of e^{aw} u = a e^{(a-1)w} u + e^{aw} D_pol u with a = 1/T - 1;
-                    # not needed beyond first order for the shipped members.
-                    d._dpol = None
-                return d
-            g._dpol = dp
-        if base.theta_chain is not None:
-            g.theta_chain = lambda cc: dilated(base.theta_chain(T * cc), outer / T,
-                                               f"Theta_{cc}[{nm}]")
-        return g
-
-    name = f"dilate({m.name})"
-    h = dilated(f, 1.0, name)
-    wp_f, twp_f = m.weighted_profile, m.theta_weighted_profile
-    return MellinBernsteinMember(
-        h, c / T, 1.0, m.growth_constant, name=name,
-        weighted_profile=lambda x, th: wp_f(np.asarray(x, dtype=float) / T,
-                                            np.asarray(th, dtype=float) / T),
-        theta_weighted_profile=(None if twp_f is None else
-                                (lambda x, th: twp_f(np.asarray(x, dtype=float) / T,
-                                                     np.asarray(th, dtype=float) / T) / T)))
+    return _chart_affine(m, 1.0 / m.T, 0j, 1.0, f"dilate({m.name})")
 
 
 def theta_shift(m: MellinBernsteinMember, alpha: float) -> MellinBernsteinMember:
@@ -577,32 +525,8 @@ def theta_shift(m: MellinBernsteinMember, alpha: float) -> MellinBernsteinMember
     Derivative law: (Theta_c phi)(r, theta) = (Theta_c f)(r, theta + alpha).
     """
     alpha = float(alpha)
-    f = m.f
-    rot = cmath.exp(1j * alpha)  # each D_pol application picks up e^{i alpha}
-
-    def shifted(base: PolarFunction, phase: complex, nm: str) -> PolarFunction:
-        def log_fn(x, th):
-            return phase * base.values_log(x, np.asarray(th, dtype=float) + alpha)
-        g = PolarFunction(log_fn,
-                          domain=Domain(base.domain.theta_min - alpha,
-                                        base.domain.theta_max - alpha)
-                          if base.domain is not WHOLE_PLANE else WHOLE_PLANE,
-                          name=nm)
-        if base._dpol is not None:
-            g._dpol = lambda: shifted(base.dpol, phase * rot, f"dpol[{nm}]")
-        if base.theta_chain is not None:
-            g.theta_chain = lambda cc: shifted(base.theta_chain(cc), phase,
-                                               f"Theta_{cc}[{nm}]")
-        return g
-
-    name = f"theta_shift({m.name}, alpha={alpha})"
-    phi = shifted(f, 1.0, name)
-    wp_f, twp_f = m.weighted_profile, m.theta_weighted_profile
-    return MellinBernsteinMember(
-        phi, m.c, m.T, m.growth_constant * math.exp(m.T * abs(alpha)), name=name,
-        weighted_profile=lambda x, th: wp_f(x, np.asarray(th, dtype=float) + alpha),
-        theta_weighted_profile=(None if twp_f is None else
-                                (lambda x, th: twp_f(x, np.asarray(th, dtype=float) + alpha))))
+    return _chart_affine(m, 1.0, complex(0.0, alpha), 1.0,
+                         f"theta_shift({m.name}, alpha={alpha})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Experiment CLI: determinism, contracts, exit codes, config handling."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -14,16 +13,12 @@ from mellin_polar.cli import (
     list_functions,
     main,
     run_experiment,
-    thread_cap,
 )
 
 
-def run_cli(argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(argv):
     return subprocess.run([sys.executable, "-m", "mellin_polar.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 class TestRunExperiments:
@@ -152,23 +147,34 @@ class TestCommandLine:
         assert "C_f = 1" in first.stdout
         assert "sin(pi t)/(pi t)" in first.stdout  # the sinc convention note
 
-    def test_version_reports_thread_cap(self):
-        proc = run_cli(["version"], env_extra={"MELLIN_POLAR_THREADS": "4"})
-        assert proc.returncode == 0
-        assert "threads cap: 4" in proc.stdout
-
-    def test_invalid_thread_cap_rejected(self):
-        proc = run_cli(["version"], env_extra={"MELLIN_POLAR_THREADS": "-2"})
-        assert proc.returncode == 2
-
     def test_summary_line_printed(self, capsys):
         main(["run", "boas-convergence", "--n", "2,4"])
         out = capsys.readouterr().out
         assert "contract_violations=0" in out
 
-    def test_thread_cap_default(self, monkeypatch):
-        monkeypatch.delenv("MELLIN_POLAR_THREADS", raising=False)
-        assert thread_cap() == 0
-        monkeypatch.setenv("MELLIN_POLAR_THREADS", "abc")
-        with pytest.raises(UsageError):
-            thread_cap()
+    @pytest.mark.parametrize("args", [
+        ["boas-convergence", "--c", "nan"],
+        ["boas-convergence", "--T", "inf"],
+        ["contour-cauchy", "--function", "power", "--a", "nan"],
+        ["contour-cauchy", "--function", "power", "--a", "1+infj"],
+        ["reconstruct", "--function", "translated-sine", "--t-shift", "nan"],
+        ["reconstruct", "--function", "theta-shifted-sine", "--alpha=-inf"],
+        ["boas-convergence", "--point", "1,nan"],
+        ["bernstein", "--theta", "nan"],
+        ["residue-defect", "--tol", "nan"],
+        ["fourier-demo", "--w", "inf"],
+        ["fourier-demo", "--w0", "nan"],
+        ["fourier-demo", "--x", "nan"],
+        ["reconstruct", "--r-grid", "0.5:inf:4"],
+        ["valiron-convergence", "--n", "1"],
+        ["valiron-convergence", "--n", "1,4"],
+    ])
+    def test_invalid_numbers_are_usage_errors(self, args, capsys):
+        assert main(["run", *args]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_overflowing_integrand_is_an_error_not_a_traceback(self):
+        proc = run_cli(["run", "contour-cauchy", "--function", "power", "--a", "1e308"])
+        assert proc.returncode == 1
+        assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ import pytest
 from mellin_polar import (
     ArcSegment,
     Curve,
+    DomainError,
     LineSegment,
     LogPoleSpec,
     LogRectangle,
@@ -114,6 +115,19 @@ class TestLineIntegral:
             line_integral(g, gamma, QuadratureSpec(refinement=2, tol=1e-12))
         assert info.value.gap > 0.0
         assert isinstance(info.value.best_estimate, complex)
+
+    def test_nan_integrand_raises_at_the_first_pass(self):
+        # a NaN gap never meets the tolerance; without the check bisection
+        # would run to depth 40 on every segment
+        calls = []
+
+        def log_fn(x, th):
+            calls.append(1)
+            return np.full(np.broadcast(x, th).shape, complex(math.nan, 0.0))
+
+        with pytest.raises(DomainError, match="not finite"):
+            line_integral(PolarFunction(log_fn), UNIT_RECT.boundary())
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

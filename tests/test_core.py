@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from mellin_polar import (
     stirling_table,
     taylor_expand,
 )
-from mellin_polar.core import constant, mellin_op
+from mellin_polar.core import constant
 
 from util import brute_force_stirling, lattice_points
 
@@ -205,30 +206,52 @@ class TestHigherMellinDerivative:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
     def test_matches_iterated_first_order_operator(self):
-        # structural route vs k-fold application through the dpol chain
-        m = make_mellin_sine(0.5, 2.0)
-        c = 0.8
+        # Theta_c = d/dzeta + c on e^{-c0 zeta} sin(T zeta), iterated k times:
+        # e^{-c0 zeta} [(c-c0+iT)^k e^{iT zeta} - (c-c0-iT)^k e^{-iT zeta}]/(2i)
+        c0, T, c = 0.5, 2.0, 0.8
+        m = make_mellin_sine(c0, T)
         for k in (1, 2, 3):
             for x, th in lattice_points(5, (-1.0, 1.0), (-1.0, 1.0)):
                 p = PolarPoint(math.exp(x), th)
-                structural = higher_mellin_derivative(m.f, p, c, k)
-                g = m.f
-                for _ in range(k):
-                    g = mellin_op(g, c)
-                iterated = g(p)
-                assert abs(structural - iterated) <= 1e-8 * (1.0 + abs(iterated))
+                zeta = complex(x, th)
+                closed = cmath.exp(-c0 * zeta) * (
+                    (c - c0 + 1j * T) ** k * cmath.exp(1j * T * zeta)
+                    - (c - c0 - 1j * T) ** k * cmath.exp(-1j * T * zeta)) / 2j
+                got = higher_mellin_derivative(m.f, p, c, k)
+                assert abs(got - closed) <= 1e-12 * (1.0 + abs(closed))
 
-    def test_stirling_route_from_dpol_order(self):
-        # power exposes D_pol^j in closed form; strip the other metadata and
-        # force the Stirling-sum route
+    def test_stirling_expansion_matches_structural_route(self):
+        # Theta_c^k z^a = sum_j S_c(k, j) z^j D_pol^j z^a with the falling
+        # factorial D_pol^j z^a = a(a-1)...(a-j+1) z^{a-j}
         a, c = 1.0 + 0.5j, 0.7
-        base = make_power(a)
-        f = PolarFunction(base.log_fn, dpol_order=base.dpol_order)
+        f = make_power(a)
         p = PolarPoint(0.8, 0.6)
-        for k in range(5):
-            expected = (a + c) ** k * base(p)
-            got = higher_mellin_derivative(f, p, c, k)
-            assert abs(got - expected) <= 1e-8 * (1.0 + abs(expected))
+        zeta = p.log_z
+        table = stirling_table(c, 6)
+        for k in range(7):
+            expansion = 0.0
+            for j in range(k + 1):
+                falling = 1.0
+                for i in range(j):
+                    falling *= a - i
+                expansion += (table.value(k, j) * cmath.exp(j * zeta) * falling
+                              * cmath.exp((a - j) * zeta))
+            structural = higher_mellin_derivative(f, p, c, k)
+            assert abs(structural - expansion) <= 1e-12 * (1.0 + abs(expansion))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lin_beyond_its_chain(self, k):
+        # lin's chain ends after first order; the missing orders come from
+        # finite differences.  Oracle: (d/dzeta + c)^k [e^{-c zeta} sinc zeta]
+        # by mpmath at 30 digits, expanded binomially.
+        c, p = 0.4, PolarPoint(1.2, 0.1)
+        with mpmath.workdps(30):
+            z0 = mpmath.mpc(math.log(p.r), p.theta)
+            lin = lambda z: mpmath.exp(-c * z) * mpmath.sinc(mpmath.pi * z)
+            oracle = complex(sum(mpmath.binomial(k, j) * mpmath.mpf(c) ** (k - j)
+                                 * mpmath.diff(lin, z0, j) for j in range(k + 1)))
+        got = higher_mellin_derivative(make_lin(c), p, c, k)
+        assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
     def test_nested_fd_route_and_conditioning_warning(self):
         bare = PolarFunction(lambda x, th: np.exp(1.5 * (np.asarray(x) + 1j * np.asarray(th))))

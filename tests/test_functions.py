@@ -5,15 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mellin_polar import (
     DegenerateInputError,
+    Domain,
     DomainError,
     LogGrid,
+    MellinBernsteinMember,
+    PolarFunction,
     PolarPoint,
     PreconditionError,
     central_mellin_difference,
+    higher_mellin_derivative,
     make_lin,
     make_mellin_sine,
     make_power,
@@ -229,6 +234,42 @@ class TestTransformations:
             closed = complex(g.theta_weighted_profile(x, th)) * math.exp(-g.c * x)
             operator = mellin_derivative(g.f, p, g.c)
             assert abs(closed - operator) <= 1e-7 * (1.0 + abs(closed))
+
+    def test_domain_is_the_preimage_under_the_chart_map(self):
+        # a strip (-1, 2) punctured at zeta = 1 + 0.5i, pulled back through
+        # zeta -> zeta + 0.25i (shift) and zeta -> zeta/2 (dilate, T = 2)
+        base = make_mellin_sine(0.5, 2.0).f
+        f = PolarFunction(base.log_fn, domain=Domain(-1.0, 2.0, (PolarPoint(math.e, 0.5),)),
+                          theta_chain=base.theta_chain)
+        m = MellinBernsteinMember(f, 0.5, 2.0, 1.0)
+        for g, (lo, hi), zeta in [(theta_shift(m, 0.25).f, (-1.25, 1.75), 1.0 + 0.25j),
+                                  (mellin_dilate(m).f, (-2.0, 4.0), 2.0 + 1.0j)]:
+            assert (g.domain.theta_min, g.domain.theta_max) == (lo, hi)
+            (q,) = g.domain.excluded
+            assert q.log_z == pytest.approx(zeta, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["translate", "dilate", "theta_shift"])
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(c=st.floats(-1.5, 1.5), T=st.floats(0.3, 3.0), param=st.floats(-1.0, 1.0),
+           x=st.floats(-1.5, 1.5), th=st.floats(-1.5, 1.5), c_new=st.floats(-2.0, 2.0))
+    def test_chart_affine_derivative_law(self, kind, c, T, param, x, th, c_new):
+        # g(zeta) = s f(a zeta + b): Theta^k_{c'} g = a^k s (Theta^k_{c'/a} f)(a zeta + b),
+        # the right side evaluated on the base member
+        m = make_mellin_sine(c, T)
+        if kind == "translate":
+            t = math.exp(param)
+            g, a, b, s = mellin_translate(m, t), 1.0, complex(math.log(t), 0.0), t ** c
+        elif kind == "dilate":
+            g, a, b, s = mellin_dilate(m), 1.0 / T, 0j, 1.0
+        else:
+            g, a, b, s = theta_shift(m, param), 1.0, complex(0.0, param), 1.0
+        p = PolarPoint(math.exp(x), th)
+        image = a * complex(x, th) + b
+        q = PolarPoint(math.exp(image.real), image.imag)
+        for k in (1, 2, 3):
+            got = higher_mellin_derivative(g.f, p, c_new, k)
+            law = a ** k * s * higher_mellin_derivative(m.f, q, c_new / a, k)
+            assert abs(got - law) <= 1e-10 * (1.0 + abs(law))
 
 
 # ---------------------------------------------------------------------------
