@@ -487,7 +487,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "n_list", "r_grid", "tol", "n_rect", "kernel", "w", "w0", "x",
                   "out", "timing")}
         cfg = build_config(args.experiment, flags, args.config)
-        status, _, _ = run_experiment(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the library refuses non-finite values
+            status, _, _ = run_experiment(cfg)
         return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

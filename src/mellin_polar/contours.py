@@ -294,9 +294,9 @@ def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -
     return total
 
 
-def _adaptive(fn_u, a: float, b: float, tol: float, depth: int,
+def _adaptive(fn_u, a: float, b: float, whole: complex, tol: float, depth: int,
               nodes: np.ndarray, weights: np.ndarray) -> tuple[complex, float, bool]:
-    whole = _gl_pass(fn_u, a, b, nodes, weights)
+    """Bisect [a, b] until the halves agree with ``whole``, its pass, to tol."""
     mid = 0.5 * (a + b)
     left = _gl_pass(fn_u, a, mid, nodes, weights)
     right = _gl_pass(fn_u, mid, b, nodes, weights)
@@ -305,8 +305,8 @@ def _adaptive(fn_u, a: float, b: float, tol: float, depth: int,
         return left + right, gap, True
     if depth <= 0:
         return left + right, gap, False
-    lv, lg, lok = _adaptive(fn_u, a, mid, tol / 2.0, depth - 1, nodes, weights)
-    rv, rg, rok = _adaptive(fn_u, mid, b, tol / 2.0, depth - 1, nodes, weights)
+    lv, lg, lok = _adaptive(fn_u, a, mid, left, tol / 2.0, depth - 1, nodes, weights)
+    rv, rg, rok = _adaptive(fn_u, mid, b, right, tol / 2.0, depth - 1, nodes, weights)
     return lv + rv, lg + rg, lok and rok
 
 
@@ -319,8 +319,8 @@ def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
     for seg in gamma.segments:
         def fn_u(u, seg=seg):
             return np.asarray(fn_chart(seg.chart(u)), dtype=complex) * seg.velocity(u)
-        val, gap, ok = _adaptive(fn_u, -0.5, 0.5, tol_per_segment, q.refinement,
-                                 nodes, weights)
+        val, gap, ok = _adaptive(fn_u, -0.5, 0.5, _gl_pass(fn_u, -0.5, 0.5, nodes, weights),
+                                 tol_per_segment, q.refinement, nodes, weights)
         if not ok:
             bad_gap += gap
         parts_re.append(val.real)

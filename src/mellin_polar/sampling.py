@@ -22,8 +22,9 @@ samples f(e^{k pi/T}, 0) together with f(1, 0) and (Theta_c f)(1, 0); its
 lin-function forms (the Mellin analogue of sinc interpolation) are
 implemented as an independent route and must agree to rounding.
 
-Summation is deterministic: symmetric blocks accumulate from the smallest
-|k| outward through compensated (Kahan) addition.
+Summation is deterministic: both series, the Bernstein numerator and the
+classical-line analogue add their symmetric blocks from the smallest |k|
+outward through one compensated (Kahan) block sum.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from scipy import special
 
 from .core import (
     DegenerateInputError,
+    DomainError,
     PolarPoint,
     PreconditionError,
 )
@@ -185,9 +187,46 @@ class SampleSet:
 # Differentiation series
 # ---------------------------------------------------------------------------
 
-def _member_point(m: MellinBernsteinMember, p: PolarPoint):
+def _block_sum(profile: Callable, x, rhos: Sequence[float], coefs: Sequence[float]):
+    """Compensated sum, in table order, of coefs[j] (profile(x + rhos[j]) - profile(x - rhos[j])).
+
+    Elementwise for an array x.  Returns the total and the last block.
+    """
+    acc = _Kahan()
+    block = 0.0 + 0j
+    for rho, coef in zip(rhos, coefs):
+        block = coef * (profile(x + rho) - profile(x - rho))
+        acc.add(block)
+    return acc.total, block
+
+
+def _boas_blocks(T: float, n: int) -> tuple[list[float], list[float]]:
+    """rho_j = (j + 1/2) pi/T with coefficient (-1)^j/(2j + 1)^2, j = 0..n-1."""
+    return ([(j + 0.5) * math.pi / T for j in range(n)],
+            [(-1.0) ** j / (2 * j + 1.0) ** 2 for j in range(n)])
+
+
+def _valiron_sum(profile: Callable, x, T: float, n: int):
+    """The sum of fourier_valiron_derivative with w = T, and its last block times T/pi."""
+    half = math.pi / (2.0 * T)
+    central = 0.5 * T * (profile(x + half) - profile(x - half))
+    total, last = _block_sum(
+        profile, x, [k * math.pi / T for k in range(1, n + 1)],
+        [(-1.0) ** k / (k * (4.0 * k * k - 1.0)) for k in range(1, n + 1)])
+    return central + (T / math.pi) * total, (T / math.pi) * last
+
+
+def _series_point(m: MellinBernsteinMember, p: PolarPoint) -> tuple[float, float, float]:
+    """log r, r^{-c} and the factor C_f T e^{T|theta|} r^{-c} of both bounds."""
     x0 = math.log(p.r)
-    return x0, p.theta, math.exp(-m.c * x0)
+    try:
+        unweight = math.exp(-m.c * x0)
+        factor = m.growth_constant * m.T * math.exp(m.T * abs(p.theta)) * unweight
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise DomainError("the a-priori truncation bound overflows at this point")
+    return x0, unweight, factor
 
 
 def boas_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> TruncationReport:
@@ -200,23 +239,13 @@ def boas_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> Truncati
     """
     if n < 1:
         raise PreconditionError("boas_derivative needs n >= 1")
-    x0, th, unweight = _member_point(m, p)
-    T = m.T
-    acc = _Kahan()
-    last_block = 0.0 + 0j
-    for j in range(n):
-        rho = (j + 0.5) * math.pi / T
-        coef = (-1.0) ** j / (2 * j + 1.0) ** 2
-        block = coef * (complex(m.weighted_profile(x0 + rho, th))
-                        - complex(m.weighted_profile(x0 - rho, th)))
-        acc.add(block)
-        last_block = block
-    scale = 4.0 * T / math.pi ** 2
-    value = scale * unweight * acc.total
-    bound = 4.0 * m.growth_constant * T * math.exp(T * abs(th)) * unweight \
-        / (math.pi ** 2 * (2.0 * n - 1.0))
-    return TruncationReport(value=value, n_terms=2 * n, apriori_bound=bound,
-                            empirical_tail=abs(scale * unweight * last_block),
+    x0, unweight, factor = _series_point(m, p)
+    total, last = _block_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
+                             *_boas_blocks(m.T, n))
+    scale = 4.0 * m.T / math.pi ** 2
+    return TruncationReport(value=scale * unweight * total, n_terms=2 * n,
+                            apriori_bound=4.0 * factor / (math.pi ** 2 * (2.0 * n - 1.0)),
+                            empirical_tail=abs(scale * unweight * last),
                             formula_id="boas")
 
 
@@ -230,25 +259,12 @@ def valiron_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> Trunc
     """
     if n < 2:
         raise PreconditionError("valiron_derivative needs n >= 2")
-    x0, th, unweight = _member_point(m, p)
-    T = m.T
-    rho_half = math.pi / (2.0 * T)
-    central = 0.5 * T * (complex(m.weighted_profile(x0 + rho_half, th))
-                         - complex(m.weighted_profile(x0 - rho_half, th)))
-    acc = _Kahan()
-    last_block = central
-    for k in range(1, n):
-        rho = k * math.pi / T
-        coef = (-1.0) ** k / (k * (4.0 * k * k - 1.0))
-        block = coef * (complex(m.weighted_profile(x0 + rho, th))
-                        - complex(m.weighted_profile(x0 - rho, th)))
-        acc.add(block)
-        last_block = (T / math.pi) * block
-    value = unweight * (central + (T / math.pi) * acc.total)
-    bound = m.growth_constant * T * math.exp(T * abs(th)) * unweight \
-        / (math.pi * (4.0 * (n - 1.0) ** 2 - 1.0))
-    return TruncationReport(value=value, n_terms=2 * n, apriori_bound=bound,
-                            empirical_tail=abs(unweight * last_block),
+    x0, unweight, factor = _series_point(m, p)
+    value, last = _valiron_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
+                               m.T, n - 1)
+    return TruncationReport(value=unweight * value, n_terms=2 * n,
+                            apriori_bound=factor / (math.pi * (4.0 * (n - 1.0) ** 2 - 1.0)),
+                            empirical_tail=abs(unweight * last),
                             formula_id="valiron_diff")
 
 
@@ -264,14 +280,7 @@ def fourier_valiron_derivative(g: Callable[[float], complex], w: float, x: float
         raise PreconditionError("fourier_valiron_derivative needs n >= 1")
     if not (w > 0.0):
         raise PreconditionError("bandwidth w must be positive")
-    half = math.pi / (2.0 * w)
-    central = 0.5 * w * (complex(g(x + half)) - complex(g(x - half)))
-    acc = _Kahan()
-    for k in range(1, n + 1):
-        step = k * math.pi / w
-        coef = (-1.0) ** k / (k * (4.0 * k * k - 1.0))
-        acc.add(coef * (complex(g(x + step)) - complex(g(x - step))))
-    return central + (w / math.pi) * acc.total
+    return _valiron_sum(lambda t: complex(g(t)), x, w, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +453,6 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
 # Bernstein-inequality check and convergence studies
 # ---------------------------------------------------------------------------
 
-def _boas_weighted_grid(m: MellinBernsteinMember, xs: np.ndarray, theta: float,
-                        n: int) -> np.ndarray:
-    """r^c * (truncated Boas value) on a log grid, vectorized over the grid."""
-    T = m.T
-    total = np.zeros(xs.shape, dtype=complex)
-    carry = np.zeros(xs.shape, dtype=complex)
-    for j in range(n):
-        rho = (j + 0.5) * math.pi / T
-        coef = (-1.0) ** j / (2 * j + 1.0) ** 2
-        block = coef * (m.weighted_profile(xs + rho, theta)
-                        - m.weighted_profile(xs - rho, theta))
-        block = block + carry
-        new_total = total + block
-        carry = block - (new_total - total)
-        total = new_total
-    return 4.0 * T / math.pi ** 2 * total
-
-
 def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
                     grid: LogGrid = LogGrid()) -> float:
     """Grid ratio sup r^c |Theta_c f(r, theta)| / sup r^c |f(r, theta)|.
@@ -476,7 +467,9 @@ def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
     den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
     if den == 0.0:
         raise DegenerateInputError("member vanishes on the whole grid")
-    num = float(np.max(np.abs(_boas_weighted_grid(m, xs, theta, n))))
+    total, _ = _block_sum(lambda x: m.weighted_profile(x, theta), xs,
+                          *_boas_blocks(m.T, n))
+    num = float(np.max(np.abs(4.0 * m.T / math.pi ** 2 * total)))
     return num / den
 
 
@@ -501,12 +494,14 @@ def convergence_study(m: MellinBernsteinMember, p: PolarPoint,
     """
     if m.theta_weighted_profile is None:
         raise PreconditionError("convergence_study needs a closed-form derivative oracle")
+    if any(n < 2 for n in n_values):
+        raise PreconditionError("convergence_study needs n >= 2 (the Valiron-derived series)")
     x0 = math.log(p.r)
     oracle = complex(m.theta_weighted_profile(x0, p.theta)) * math.exp(-m.c * x0)
     rows = []
     for n in n_values:
         b = boas_derivative(m, p, n)
-        v = valiron_derivative(m, p, max(n, 2))
+        v = valiron_derivative(m, p, n)
         rows.append(ConvergenceRow(
             n=int(n),
             boas_error=abs(b.value - oracle),

@@ -178,3 +178,15 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["boas-convergence", "--point", "1,400", "--T", "2"],
+        ["valiron-convergence", "--point", "1,355", "--T", "2"],
+    ])
+    def test_overflowing_bound_is_an_error_not_a_traceback(self, args):
+        proc = run_cli(["run", *args])
+        assert proc.returncode == 1
+        assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr

@@ -129,6 +129,21 @@ class TestLineIntegral:
             line_integral(PolarFunction(log_fn), UNIT_RECT.boundary())
         assert len(calls) == 1
 
+    def test_adaptive_passes_never_repeat_an_interval(self):
+        # a pole just outside the top edge forces bisection; each pass hands
+        # the integrand the nodes of one interval, so a repeat means the same
+        # interval was integrated twice
+        seen = []
+
+        def log_fn(x, th):
+            x, th = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
+            seen.append((x.tobytes(), th.tobytes()))
+            return 1.0 / (x + 1j * th - complex(0.0, 1.05))
+
+        line_integral(PolarFunction(log_fn), UNIT_RECT.boundary())
+        assert len(seen) > 4 * 3  # more than one bisection level on some segment
+        assert len(set(seen)) == len(seen)
+
 
 # ---------------------------------------------------------------------------
 # cauchy_value
