@@ -77,6 +77,7 @@ from .sampling import (
     convergence_study,
     fit_loglog_slope,
     fourier_valiron_derivative,
+    theta_oracle,
     valiron_derivative,
     valiron_lin_form,
     valiron_reconstruct,

@@ -13,9 +13,9 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,17 +28,18 @@ from .contours import (
     residue_theorem_check,
 )
 from .core import DomainError, PolarPoint, PreconditionError, ToleranceNotMetError
-from .functions import LogGrid, function_registry
+from .functions import function_registry
 from .sampling import (
     SampleSet,
     bernstein_check,
     boas_derivative,
     fourier_valiron_derivative,
+    theta_oracle,
     valiron_derivative,
     valiron_reconstruct,
 )
 
-CSV_SCHEMA = "mellin-polar-csv v1"
+CSV_SCHEMA = "mellin-polar-csv v2"
 
 EXPERIMENTS = ("boas-convergence", "valiron-convergence", "reconstruct",
                "contour-cauchy", "residue-defect", "bernstein", "fourier-demo")
@@ -75,7 +76,6 @@ class ExperimentConfig:
     r_grid: tuple[float, float, int] = (0.5, 2.0, 16)
     tol: float = 1e-9
     n_rect: int = 1
-    kernel: str = "boas"
     w: float = 1.0
     w0: float = 0.7
     x: float = 0.0
@@ -91,14 +91,11 @@ class ExperimentConfig:
             raise UsageError("n: at least one value required")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise UsageError("n: list must be strictly increasing")
-        numeric = {"c": self.c, "T": self.T, "a": self.a, "t-shift": self.t_shift,
-                   "alpha": self.alpha, "point": self.point, "theta": self.theta,
-                   "tol": self.tol, "w": self.w, "w0": self.w0, "x": self.x,
-                   "r-grid": self.r_grid[:2]}
-        for key, value in numeric.items():
+        for opt in _OPTIONS:
+            value = getattr(self, opt.field)
             parts = value if isinstance(value, tuple) else (value,)
-            if not all(cmath.isfinite(v) for v in parts if v is not None):
-                raise UsageError(f"{key}: must be finite")
+            if not all(cmath.isfinite(v) for v in parts if isinstance(v, (float, complex))):
+                raise UsageError(f"{opt.key}: must be finite")
         if self.tol <= 0:
             raise UsageError("tol: must be positive")
         lo, hi, count = self.r_grid
@@ -106,20 +103,10 @@ class ExperimentConfig:
             raise UsageError("r-grid: need 0 < lo < hi and count >= 1")
 
     def echo_items(self) -> list[tuple[str, str]]:
-        items = [
-            ("experiment", self.experiment), ("function", self.function),
-            ("c", _fmt(self.c)), ("T", _fmt(self.T)), ("a", _fmt(self.a)),
-            ("t-shift", "" if self.t_shift is None else _fmt(self.t_shift)),
-            ("alpha", _fmt(self.alpha)),
-            ("point", f"{_fmt(self.point[0])},{_fmt(self.point[1])}"),
-            ("theta", _fmt(self.theta)),
-            ("n", ",".join(str(n) for n in self.n_list)),
-            ("r-grid", f"{_fmt(self.r_grid[0])}:{_fmt(self.r_grid[1])}:{self.r_grid[2]}"),
-            ("tol", _fmt(self.tol)), ("n-rect", str(self.n_rect)),
-            ("kernel", self.kernel), ("w", _fmt(self.w)), ("w0", _fmt(self.w0)),
-            ("x", _fmt(self.x)),
-        ]
-        return items
+        """The ``# config:`` items; written back as a config file they
+        rebuild this configuration."""
+        return [("experiment", self.experiment)] + [
+            (opt.key, opt.show(getattr(self, opt.field))) for opt in _OPTIONS if opt.show]
 
 
 @dataclass
@@ -158,23 +145,23 @@ def _opt(v) -> str:
 # experiment runners (each returns rows; contracts decide the exit status)
 # ---------------------------------------------------------------------------
 
-def _build_member(cfg: ExperimentConfig):
+def _build_member(cfg: ExperimentConfig, bernstein: bool = False):
     for entry in function_registry():
         if entry.ident == cfg.function:
-            return entry.build(c=cfg.c, T=cfg.T, a=cfg.a, t_shift=cfg.t_shift,
-                               alpha=cfg.alpha)
+            member = entry.build(c=cfg.c, T=cfg.T, a=cfg.a, t_shift=cfg.t_shift,
+                                 alpha=cfg.alpha)
+            if bernstein and not hasattr(member, "weighted_profile"):
+                raise UsageError("function: this experiment needs a Bernstein member")
+            return member
     raise UsageError(f"function: unknown id {cfg.function!r}")
 
 
 def _run_derivative_convergence(cfg: ExperimentConfig, which: str) -> list[ResultRow]:
-    member = _build_member(cfg)
-    if not hasattr(member, "weighted_profile"):
-        raise UsageError("function: this experiment needs a Bernstein member")
+    member = _build_member(cfg, bernstein=True)
     if which == "valiron" and min(cfg.n_list) < 2:
         raise UsageError("n: the Valiron-derived series needs n >= 2")
     p = PolarPoint(*cfg.point)
-    x0 = math.log(p.r)
-    oracle = complex(member.theta_weighted_profile(x0, p.theta)) * math.exp(-member.c * x0)
+    oracle = theta_oracle(member, p)
     rows = []
     for n in cfg.n_list:
         start = time.perf_counter()
@@ -192,9 +179,7 @@ def _run_derivative_convergence(cfg: ExperimentConfig, which: str) -> list[Resul
 
 
 def _run_reconstruct(cfg: ExperimentConfig) -> list[ResultRow]:
-    member = _build_member(cfg)
-    if not hasattr(member, "weighted_profile"):
-        raise UsageError("function: this experiment needs a Bernstein member")
+    member = _build_member(cfg, bernstein=True)
     lo, hi, count = cfg.r_grid
     radii = np.exp(np.linspace(math.log(lo), math.log(hi), count))
     rows = []
@@ -241,8 +226,6 @@ def _run_contour_cauchy(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_residue_defect(cfg: ExperimentConfig) -> list[ResultRow]:
-    if cfg.kernel != "boas":
-        raise UsageError(f"kernel: unknown kernel {cfg.kernel!r}")
     built = _build_member(cfg)
     base = getattr(built, "f", built)
     start = time.perf_counter()
@@ -251,7 +234,7 @@ def _run_residue_defect(cfg: ExperimentConfig) -> list[ResultRow]:
     defect = residue_theorem_check(F, gamma, poles, cfg.c, q)
     row = ResultRow(
         experiment=cfg.experiment,
-        inputs=f"kernel=boas n-rect={cfg.n_rect} c={_fmt(cfg.c)}",
+        inputs=f"n-rect={cfg.n_rect} c={_fmt(cfg.c)}",
         value=complex(defect), oracle=0.0 + 0j, apriori_bound=10.0 * cfg.tol,
         passed=defect <= 10.0 * cfg.tol,
         wall_time=time.perf_counter() - start)
@@ -259,9 +242,7 @@ def _run_residue_defect(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_bernstein(cfg: ExperimentConfig) -> list[ResultRow]:
-    member = _build_member(cfg)
-    if not hasattr(member, "weighted_profile"):
-        raise UsageError("function: this experiment needs a Bernstein member")
+    member = _build_member(cfg, bernstein=True)
     start = time.perf_counter()
     n = max(cfg.n_list)
     ratio = bernstein_check(member, theta=cfg.theta, n=n)
@@ -282,6 +263,8 @@ def _run_fourier_demo(cfg: ExperimentConfig) -> list[ResultRow]:
         start = time.perf_counter()
         val = fourier_valiron_derivative(g, w, x, n)
         bound = 2.0 * w / (math.pi * (8.0 * n * n - 2.0))  # |g| <= 1 tail gauge
+        if not math.isfinite(bound):
+            raise DomainError(f"fourier-demo: the tail gauge at w={_fmt(w)} overflows")
         rows.append(ResultRow(
             experiment=cfg.experiment, inputs=f"n={n}", value=val, oracle=oracle,
             apriori_bound=bound, passed=abs(val - oracle) <= bound,
@@ -345,34 +328,57 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[ResultRow], str]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Parsers raise ValueError; build_config names the option in the message.
+
 def _parse_point(text: str) -> tuple[float, float]:
-    try:
-        r_str, th_str = text.split(",")
-        return float(r_str), float(th_str)
-    except ValueError:
-        raise UsageError(f"point: expected 'r,theta', got {text!r}")
+    r, theta = text.split(",")
+    return float(r), float(theta)
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"n: expected comma-separated integers, got {text!r}")
+    return tuple(int(part) for part in text.split(","))
 
 
 def _parse_r_grid(text: str) -> tuple[float, float, int]:
-    try:
-        lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
-    except ValueError:
-        raise UsageError(f"r-grid: expected 'lo:hi:count', got {text!r}")
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
 
 
 def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise UsageError(f"a: expected a complex literal, got {text!r}")
+    return complex(text.replace(" ", ""))
+
+
+def _optional_float(text: str) -> Optional[float]:
+    """The inverse of ``_opt``: empty text is None (unset)."""
+    return None if text == "" else float(text)
+
+
+class _Option(NamedTuple):
+    key: str    # --key on the command line; key= in a config file and the CSV header
+    field: str  # the ExperimentConfig attribute
+    parse: Callable[[str], object]
+    show: Optional[Callable[[object], str]]  # header formatter; None: not echoed
+
+
+_OPTIONS = (
+    _Option("function", "function", str, str),
+    _Option("c", "c", float, _fmt),
+    _Option("T", "T", float, _fmt),
+    _Option("a", "a", _parse_complex, _fmt),
+    _Option("t-shift", "t_shift", _optional_float, _opt),
+    _Option("alpha", "alpha", float, _fmt),
+    _Option("point", "point", _parse_point, lambda v: ",".join(map(_fmt, v))),
+    _Option("theta", "theta", float, _fmt),
+    _Option("n", "n_list", _parse_n_list, lambda v: ",".join(map(_fmt, v))),
+    _Option("r-grid", "r_grid", _parse_r_grid, lambda v: ":".join(map(_fmt, v))),
+    _Option("tol", "tol", float, _fmt),
+    _Option("n-rect", "n_rect", int, str),
+    _Option("w", "w", float, _fmt),
+    _Option("w0", "w0", float, _fmt),
+    _Option("x", "x", float, _fmt),
+    _Option("out", "out", str, None),
+)
+_OPTION_BY_KEY = {opt.key: opt for opt in _OPTIONS}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -392,22 +398,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "function": str, "c": float, "T": float, "a": _parse_complex,
-    "t-shift": float, "alpha": float, "point": _parse_point,
-    "theta": float, "n": _parse_n_list, "r-grid": _parse_r_grid,
-    "tol": float, "n-rect": int, "kernel": str, "w": float, "w0": float,
-    "x": float, "out": str,
-}
-
-_KEY_TO_FIELD = {
-    "function": "function", "c": "c", "T": "T", "a": "a", "t-shift": "t_shift",
-    "alpha": "alpha", "point": "point", "theta": "theta", "n": "n_list",
-    "r-grid": "r_grid", "tol": "tol", "n-rect": "n_rect", "kernel": "kernel",
-    "w": "w", "w0": "w0", "x": "x", "out": "out",
-}
-
-
 def build_config(experiment: str, flag_values: dict[str, object],
                  config_path: Optional[str] = None) -> ExperimentConfig:
     """Merge config-file values and flags; flags win."""
@@ -416,9 +406,13 @@ def build_config(experiment: str, flag_values: dict[str, object],
         for key, raw in _read_config_file(config_path).items():
             if key == "experiment":
                 continue
-            if key not in _CONFIG_KEYS:
+            opt = _OPTION_BY_KEY.get(key)
+            if opt is None:
                 raise UsageError(f"config: unknown key {key!r}")
-            setattr(cfg, _KEY_TO_FIELD[key], _CONFIG_KEYS[key](raw))
+            try:
+                setattr(cfg, opt.field, opt.parse(raw))
+            except ValueError as exc:
+                raise UsageError(f"{key}: {exc}") from None
     for key, value in flag_values.items():
         if value is not None:
             setattr(cfg, key, value)
@@ -443,26 +437,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run an experiment and emit CSV")
     runp.add_argument("experiment", choices=EXPERIMENTS)
-    runp.add_argument("--function", default=None)
-    runp.add_argument("--c", type=float, default=None)
-    runp.add_argument("--T", type=float, default=None)
-    runp.add_argument("--a", type=_parse_complex, default=None)
-    runp.add_argument("--t-shift", dest="t_shift", type=float, default=None)
-    runp.add_argument("--alpha", type=float, default=None)
-    runp.add_argument("--point", type=_parse_point, default=None,
-                      metavar="R,THETA")
-    runp.add_argument("--theta", type=float, default=None)
-    runp.add_argument("--n", dest="n_list", type=_parse_n_list, default=None,
-                      metavar="N1,N2,...")
-    runp.add_argument("--r-grid", dest="r_grid", type=_parse_r_grid, default=None,
-                      metavar="LO:HI:COUNT")
-    runp.add_argument("--tol", type=float, default=None)
-    runp.add_argument("--n-rect", dest="n_rect", type=int, default=None)
-    runp.add_argument("--kernel", default=None)
-    runp.add_argument("--w", type=float, default=None)
-    runp.add_argument("--w0", type=float, default=None)
-    runp.add_argument("--x", type=float, default=None)
-    runp.add_argument("--out", default=None)
+    for opt in _OPTIONS:
+        runp.add_argument("--" + opt.key, dest=opt.field, type=opt.parse, default=None)
     runp.add_argument("--config", default=None)
     runp.add_argument("--timing", action="store_true", default=None,
                       help="append wall-clock column (breaks byte determinism)")
@@ -482,10 +458,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "version":
             print(f"mellin-polar {__version__}")
             return 0
-        flags = {key: getattr(args, key) for key in
-                 ("function", "c", "T", "a", "t_shift", "alpha", "point", "theta",
-                  "n_list", "r_grid", "tol", "n_rect", "kernel", "w", "w0", "x",
-                  "out", "timing")}
+        flags = {opt.field: getattr(args, opt.field) for opt in _OPTIONS}
+        flags["timing"] = args.timing
         cfg = build_config(args.experiment, flags, args.config)
         with np.errstate(over="ignore", invalid="ignore"):  # the library refuses non-finite values
             status, _, _ = run_experiment(cfg)

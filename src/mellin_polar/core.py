@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -170,14 +170,13 @@ class PolarFunction:
     that is a tested contract, not an assumption.
     """
 
-    __slots__ = ("log_fn", "domain", "theta_chain", "name", "kernel")
+    __slots__ = ("log_fn", "domain", "theta_chain", "name")
 
     def __init__(self, log_fn, domain=WHOLE_PLANE, theta_chain=None, name=""):
         self.log_fn = log_fn
         self.domain = domain
         self.theta_chain = theta_chain
         self.name = name
-        self.kernel = None  # set by function_library factories for profiled forms
 
     @property
     def dpol(self) -> Optional["PolarFunction"]:
@@ -401,9 +400,8 @@ _NESTED_FD_STEPS = (1e-3, 3e-3, 1e-2, 3e-2)
 
 def _fd_derivative_function(f: PolarFunction, h: float) -> PolarFunction:
     """D_pol f as a PolarFunction backed by the finite-difference oracle."""
-    shrunk = Domain(f.domain.theta_min, f.domain.theta_max, f.domain.excluded)
     return PolarFunction(lambda x, th: _polar_derivative_fd_grid(f, x, th, h),
-                         domain=shrunk, name=f"fd[D_pol {f.name}]")
+                         domain=f.domain, name=f"fd[D_pol {f.name}]")
 
 
 def higher_mellin_derivative(f: PolarFunction, p: PolarPoint, c: float, k: int) -> complex:

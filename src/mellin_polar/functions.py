@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -203,11 +203,16 @@ class SineBlendProfile:
     def bound_constant(self):
         return self.amp + self.log_factor
 
-    def value(self, w):
-        w = np.asarray(w, dtype=complex)
+    def _blend_integrals(self, w):
+        """(amp + log(1/(2 floor)) - Cin(w/2) + Cin(floor w), Si(w/2) - Si(floor w))."""
         c1 = self.log_factor - _cin(w / 2.0) + _cin(self.floor * w)
         s1 = _si(w / 2.0) - _si(self.floor * w)
-        return (self.amp + c1) * np.sin(w) - s1 * np.cos(w)
+        return self.amp + c1, s1
+
+    def value(self, w):
+        w = np.asarray(w, dtype=complex)
+        c1, s1 = self._blend_integrals(w)
+        return c1 * np.sin(w) - s1 * np.cos(w)
 
     def deriv(self):
         return _SineBlendPrimeProfile(self)
@@ -222,13 +227,12 @@ class _SineBlendPrimeProfile:
     def value(self, w):
         b = self.base
         w = np.asarray(w, dtype=complex)
-        c1 = b.log_factor - _cin(w / 2.0) + _cin(b.floor * w)
-        s1 = _si(w / 2.0) - _si(b.floor * w)
+        c1, s1 = b._blend_integrals(w)
         small = np.abs(w) < 1e-6
         ws = np.where(small, 1.0, w)
         tail = (np.sin((1.0 - b.floor) * ws) - np.sin(ws / 2.0)) / ws
         tail = np.where(small, (0.5 - b.floor) + 0.0 * w, tail)
-        return (b.amp + c1) * np.cos(w) + s1 * np.sin(w) - tail
+        return c1 * np.cos(w) + s1 * np.sin(w) - tail
 
     def deriv(self):
         return None
@@ -248,7 +252,6 @@ def _profiled(weight: float, rate: float, profile, name: str) -> PolarFunction:
         return np.exp(-weight * w) * profile.value(rate * w)
 
     f = PolarFunction(log_fn, domain=WHOLE_PLANE, name=name)
-    f.kernel = (weight, rate, profile)
     dG = profile.deriv()
     if dG is not None:
         f.theta_chain = lambda c: _profiled(

@@ -55,6 +55,7 @@ __all__ = [
     "convergence_study",
     "fit_loglog_slope",
     "fourier_valiron_derivative",
+    "theta_oracle",
     "valiron_derivative",
     "valiron_lin_form",
     "valiron_reconstruct",
@@ -227,6 +228,22 @@ def _series_point(m: MellinBernsteinMember, p: PolarPoint) -> tuple[float, float
     if not math.isfinite(factor):
         raise DomainError("the a-priori truncation bound overflows at this point")
     return x0, unweight, factor
+
+
+def theta_oracle(m: MellinBernsteinMember, p: PolarPoint) -> complex:
+    """(Theta_c f)(p) from the member's closed form ``theta_weighted_profile``:
+    the reference value of both differentiation series.  A point where the
+    oracle leaves the double range is refused with DomainError."""
+    if m.theta_weighted_profile is None:
+        raise PreconditionError("the Theta_c oracle needs a closed-form derivative")
+    x0 = math.log(p.r)
+    try:
+        oracle = complex(m.theta_weighted_profile(x0, p.theta)) * math.exp(-m.c * x0)
+    except OverflowError:
+        oracle = complex(math.inf)
+    if not cmath.isfinite(oracle):
+        raise DomainError("the closed-form Theta_c oracle overflows at this point")
+    return oracle
 
 
 def boas_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> TruncationReport:
@@ -492,12 +509,9 @@ def convergence_study(m: MellinBernsteinMember, p: PolarPoint,
     two routes (about n^{-1} for Boas vs n^{-2} for the Valiron-derived form
     on worst-case members).
     """
-    if m.theta_weighted_profile is None:
-        raise PreconditionError("convergence_study needs a closed-form derivative oracle")
     if any(n < 2 for n in n_values):
         raise PreconditionError("convergence_study needs n >= 2 (the Valiron-derived series)")
-    x0 = math.log(p.r)
-    oracle = complex(m.theta_weighted_profile(x0, p.theta)) * math.exp(-m.c * x0)
+    oracle = theta_oracle(m, p)
     rows = []
     for n in n_values:
         b = boas_derivative(m, p, n)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mellin_polar.cli import (
+    EXPERIMENTS,
     ExperimentConfig,
     UsageError,
     build_config,
@@ -14,6 +15,10 @@ from mellin_polar.cli import (
     main,
     run_experiment,
 )
+
+
+NON_DEFAULT_FLAGS = {"c": 0.3, "T": 1.7, "a": 0.2 + 0.1j, "alpha": -0.3, "t_shift": 1.3,
+                     "point": (1.4, 0.2), "n_rect": 2}
 
 
 def run_cli(argv):
@@ -56,7 +61,7 @@ class TestRunExperiments:
 
     def test_residue_defect(self, tmp_path):
         out = tmp_path / "defect.csv"
-        status = main(["run", "residue-defect", "--kernel", "boas",
+        status = main(["run", "residue-defect",
                        "--n-rect", "1", "--c", "0", "--out", str(out)])
         assert status == 0
         data_row = out.read_text().splitlines()[3].split(",")
@@ -131,6 +136,24 @@ class TestConfigHandling:
         with pytest.raises(UsageError, match="function"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("line, key", [("c=abc", "c"), ("n-rect=x", "n-rect")])
+    def test_unparsable_config_value_is_usage_error(self, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n")
+        assert main(["run", "fourier-demo", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("flags", [{}, NON_DEFAULT_FLAGS], ids=["default", "non-default"])
+    def test_header_reads_back_as_config_file(self, tmp_path, experiment, flags):
+        cfg = build_config(experiment, dict(flags))
+        cfg.validate()
+        cfg_file = tmp_path / "header.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in cfg.echo_items()))
+        again = build_config(experiment, {}, str(cfg_file))
+        again.validate()
+        assert again == cfg
+
 
 class TestCommandLine:
     def test_usage_error_exit_code(self):
@@ -146,6 +169,12 @@ class TestCommandLine:
         assert "mellin-sine" in first.stdout
         assert "C_f = 1" in first.stdout
         assert "sin(pi t)/(pi t)" in first.stdout  # the sinc convention note
+
+    def test_kernel_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "residue-defect", "--kernel", "boas"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_summary_line_printed(self, capsys):
         main(["run", "boas-convergence", "--n", "2,4"])
@@ -183,6 +212,9 @@ class TestCommandLine:
     @pytest.mark.parametrize("args", [
         ["boas-convergence", "--point", "1,400", "--T", "2"],
         ["valiron-convergence", "--point", "1,355", "--T", "2"],
+        ["boas-convergence", "--point", "1e-300,0", "--c", "3"],  # the oracle's r^{-c}
+        ["valiron-convergence", "--point", "1e300,0", "--c=-3"],
+        ["fourier-demo", "--w", "1e308"],  # the tail gauge
     ])
     def test_overflowing_bound_is_an_error_not_a_traceback(self, args):
         proc = run_cli(["run", *args])

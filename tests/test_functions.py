@@ -31,7 +31,7 @@ from mellin_polar import (
     theta_shift,
     verify_growth_bound,
 )
-from mellin_polar.functions import lin_value, function_registry, sinc
+from mellin_polar.functions import SineBlendProfile, lin_value, function_registry, sinc
 
 from util import lattice_points
 
@@ -116,8 +116,7 @@ class TestLin:
 class TestSineBlend:
     def test_closed_form_matches_defining_integral(self):
         # independent oracle: numeric quadrature of the frequency blend
-        m = make_sine_blend(0.0, 1.0, amplitude=10.0, floor=1e-4)
-        prof = m.f.kernel[2]
+        prof = SineBlendProfile(10.0, 1e-4)
         for w in (0.3, 2.0, 17.7, 60.0):
             direct = quad(lambda e: math.sin((1.0 - e) * w) / e, 1e-4, 0.5,
                           limit=4000)[0] + 10.0 * math.sin(w)
@@ -125,8 +124,7 @@ class TestSineBlend:
             assert abs(complex(prof.value(w)).imag) < 1e-12
 
     def test_derivative_against_finite_difference(self):
-        m = make_sine_blend(0.3, 1.5)
-        prof = m.f.kernel[2]
+        prof = SineBlendProfile(10.0, 1e-4)
         dprof = prof.deriv()
         for w in (0.7, 9.3, -4.0):
             fd = (complex(prof.value(w + 1e-5)) - complex(prof.value(w - 1e-5))) / 2e-5

@@ -27,6 +27,7 @@ from mellin_polar import (
     mellin_dilate,
     mellin_translate,
     power_member,
+    theta_oracle,
     theta_shift,
     valiron_derivative,
 )
@@ -219,3 +220,16 @@ def test_convergence_study_rejects_n_below_two(ns):
 def test_overflowing_bound_is_a_domain_error(series, theta):
     with pytest.raises(DomainError, match="bound"):
         series(make_mellin_sine(0.5, 2.0), PolarPoint(1.0, theta), 4)
+
+
+def test_theta_oracle_is_the_closed_form():
+    m = make_sine_blend(0.5, 2.0)
+    for r, theta in ((1.0, 0.0), (1.3, 0.4), (0.2, -1.1)):
+        x0 = math.log(r)
+        want = complex(m.theta_weighted_profile(x0, theta)) * math.exp(-m.c * x0)
+        assert _hex(theta_oracle(m, PolarPoint(r, theta))) == _hex(want)
+
+
+def test_overflowing_oracle_is_a_domain_error():
+    with pytest.raises(DomainError, match="oracle"):
+        convergence_study(make_mellin_sine(3.0, 1.0), PolarPoint(1e-300, 0.0), [2])
