@@ -18,6 +18,7 @@ from mellin_polar import (
     boas_derivative,
     make_mellin_sine,
     mellin_translate,
+    theta_oracle,
     valiron_derivative,
     valiron_lin_form,
     valiron_reconstruct,
@@ -26,8 +27,7 @@ from mellin_polar import (
 c, T = 0.5, 2.0
 member = mellin_translate(make_mellin_sine(c, T), math.exp(math.pi / (6.0 * T)))
 p = PolarPoint(1.0, 0.0)
-x0 = math.log(p.r)
-oracle = complex(member.theta_weighted_profile(x0, 0.0)) * math.exp(-c * x0)
+oracle = theta_oracle(member, p)
 
 print(f"== differentiating a translated sine member (c={c}, T={T}) ==")
 print(f"  exact weighted derivative at (1, 0): {oracle:.10f}")

@@ -293,20 +293,11 @@ def polar_derivative_fd(f: PolarFunction, p: PolarPoint, h: float = DEFAULT_FD_S
     if not (h > 0.0):
         raise PreconditionError("step h must be positive")
     f.domain.require(p, margin=h)
-    x, th = math.log(p.r), p.theta
-    rot = cmath.exp(-1j * th)
-
-    def diff(step: float) -> complex:
-        num = complex(f.log_fn(x + step, th)) - complex(f.log_fn(x - step, th))
-        return rot * num / (p.r * (math.exp(step) - math.exp(-step)))
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return complex(_polar_derivative_fd_grid(f, math.log(p.r), p.theta, h))
 
 
 def _polar_derivative_fd_grid(f: PolarFunction, x, theta, h: float = DEFAULT_FD_STEP):
-    """Vectorized form of :func:`polar_derivative_fd` over chart arrays."""
+    """The finite-difference body of :func:`polar_derivative_fd`, elementwise over chart arrays."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rot = np.exp(-1j * theta) * np.exp(-x)

@@ -103,13 +103,6 @@ class TrigTone:
         # (a sin + b cos)' = a cos - b sin
         return TrigTone(-self.cos_coef, self.sin_coef)
 
-    def combine(self, a, other, b):
-        """a*self + b*other when the other is also a tone, else None."""
-        if isinstance(other, TrigTone):
-            return TrigTone(a * self.sin_coef + b * other.sin_coef,
-                            a * self.cos_coef + b * other.cos_coef)
-        return None
-
 
 class ProfileSum:
     """Linear combination of profiles (fallback when tones cannot merge)."""
@@ -136,10 +129,10 @@ class ProfileSum:
 
 
 def _combine_profiles(a, g1, b, g2):
-    if isinstance(g1, TrigTone):
-        merged = g1.combine(a, g2, b)
-        if merged is not None:
-            return merged
+    """a*g1 + b*g2, merged into one tone when both are tones."""
+    if isinstance(g1, TrigTone) and isinstance(g2, TrigTone):
+        return TrigTone(a * g1.sin_coef + b * g2.sin_coef,
+                        a * g1.cos_coef + b * g2.cos_coef)
     return ProfileSum([(a, g1), (b, g2)])
 
 
@@ -315,15 +308,14 @@ class MellinBernsteinMember:
 
     ``weighted_profile(x, theta)`` evaluates e^{c x} f(e^x, theta) stably
     (library members compute it structurally, so geometric sample radii far
-    beyond float range stay finite).  ``theta_weighted_profile`` is the same
-    weighting of Theta_c f and serves as the oracle in convergence studies.
+    beyond float range stay finite).  Theta_c f has one closed form, the
+    Theta-chain of ``f``, evaluated by :meth:`theta_c`.
     """
 
-    __slots__ = ("f", "c", "T", "growth_constant", "name",
-                 "weighted_profile", "theta_weighted_profile")
+    __slots__ = ("f", "c", "T", "growth_constant", "name", "weighted_profile")
 
     def __init__(self, f: PolarFunction, c: float, T: float, growth_constant: float,
-                 name: str = "", weighted_profile=None, theta_weighted_profile=None):
+                 name: str = "", weighted_profile=None):
         if not (T > 0.0):
             raise PreconditionError("exponential type T must be positive")
         if not (growth_constant > 0.0):
@@ -334,7 +326,6 @@ class MellinBernsteinMember:
         self.growth_constant = float(growth_constant)
         self.name = name or f.name
         self.weighted_profile = weighted_profile or _generic_weighted_profile(f, self.c)
-        self.theta_weighted_profile = theta_weighted_profile or _generic_theta_profile(f, self.c)
 
     def value(self, p: PolarPoint) -> complex:
         return self.f(p)
@@ -350,8 +341,7 @@ class MellinBernsteinMember:
         return MellinBernsteinMember(
             self.f, self.c, T_new, growth_constant or self.growth_constant,
             name=f"{self.name}|T={T_new}",
-            weighted_profile=self.weighted_profile,
-            theta_weighted_profile=self.theta_weighted_profile)
+            weighted_profile=self.weighted_profile)
 
     def __repr__(self):
         return (f"MellinBernsteinMember({self.name}, c={self.c}, T={self.T}, "
@@ -365,37 +355,16 @@ def _generic_weighted_profile(f: PolarFunction, c: float):
     return wp
 
 
-def _generic_theta_profile(f: PolarFunction, c: float):
-    if f.theta_chain is None:
-        return None
-    g = f.theta_chain(c)
-
-    def twp(x, theta):
-        x = np.asarray(x, dtype=float)
-        return np.exp(c * x) * g.values_log(x, theta)
-    return twp
-
-
-def _profiled_member(weight_c, rate_T, profile, growth_constant, name,
-                     class_T=None) -> MellinBernsteinMember:
+def _profiled_member(weight_c, rate_T, profile, growth_constant, name) -> MellinBernsteinMember:
     """Member whose weight matches its class parameter c (stable profiles)."""
     f = _profiled(weight_c, rate_T, profile, name)
-    dG = profile.deriv()
 
     def wp(x, theta):
         w = np.asarray(x, dtype=float) + 1j * np.asarray(theta, dtype=float)
         return np.exp(-1j * weight_c * np.asarray(theta, dtype=float)) * profile.value(rate_T * w)
 
-    twp = None
-    if dG is not None:
-        def twp(x, theta):
-            w = np.asarray(x, dtype=float) + 1j * np.asarray(theta, dtype=float)
-            return (np.exp(-1j * weight_c * np.asarray(theta, dtype=float))
-                    * rate_T * dG.value(rate_T * w))
-
-    return MellinBernsteinMember(f, weight_c, class_T or rate_T, growth_constant,
-                                 name=name, weighted_profile=wp,
-                                 theta_weighted_profile=twp)
+    return MellinBernsteinMember(f, weight_c, rate_T, growth_constant,
+                                 name=name, weighted_profile=wp)
 
 
 def make_mellin_sine(c: float, T: float) -> MellinBernsteinMember:
@@ -445,13 +414,10 @@ def power_member(c: float, b: float) -> MellinBernsteinMember:
     if b == 0.0:
         raise PreconditionError("b = 0 has exponential type 0; pick b != 0")
     f = make_power(complex(-c, b))
-    member = MellinBernsteinMember(
+    return MellinBernsteinMember(
         f, float(c), abs(float(b)), 1.0, name=f"power_member(c={c},b={b})",
         weighted_profile=lambda x, th: np.exp(
-            1j * b * np.asarray(x, dtype=float) + complex(-c, b) * 1j * np.asarray(th, dtype=float)),
-        theta_weighted_profile=lambda x, th: 1j * b * np.exp(
             1j * b * np.asarray(x, dtype=float) + complex(-c, b) * 1j * np.asarray(th, dtype=float)))
-    return member
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +450,19 @@ def _chart_affine(m: MellinBernsteinMember, a: float, b: complex, s: float,
 
     s must equal e^{c Re b} (up to rounding): the weight then cancels and
     g lies in class (a c, a T, C_f e^{T |Im b|}) with the pulled-back
-    profiles
+    profile
 
-        wp_g(x, theta)  = wp_f(a x + Re b, a theta + Im b),
-        twp_g(x, theta) = a twp_f(a x + Re b, a theta + Im b).
+        wp_g(x, theta) = wp_f(a x + Re b, a theta + Im b).
 
     Derivative law, at every order the chain of f reaches:
     (Theta_{c'} g)(zeta) = a s (Theta_{c'/a} f)(a zeta + b).
     """
     br, bi = b.real, b.imag
-    wp_f, twp_f = m.weighted_profile, m.theta_weighted_profile
+    wp_f = m.weighted_profile
     return MellinBernsteinMember(
         _pullback(m.f, a, b, s, name), a * m.c, a * m.T,
         m.growth_constant * math.exp(m.T * abs(bi)), name=name,
-        weighted_profile=lambda x, th: wp_f(a * x + br, a * th + bi),
-        theta_weighted_profile=(None if twp_f is None else
-                                (lambda x, th: a * twp_f(a * x + br, a * th + bi))))
+        weighted_profile=lambda x, th: wp_f(a * x + br, a * th + bi))
 
 
 def mellin_translate(m: MellinBernsteinMember, t: float) -> MellinBernsteinMember:

@@ -231,16 +231,14 @@ def _series_point(m: MellinBernsteinMember, p: PolarPoint) -> tuple[float, float
 
 
 def theta_oracle(m: MellinBernsteinMember, p: PolarPoint) -> complex:
-    """(Theta_c f)(p) from the member's closed form ``theta_weighted_profile``:
-    the reference value of both differentiation series.  A point where the
-    oracle leaves the double range is refused with DomainError."""
-    if m.theta_weighted_profile is None:
+    """(Theta_c f)(p) from the Theta-chain of ``m.f``, the one closed form of
+    Theta_c f: the reference value of both differentiation series, which read
+    only the weighted profile.  A point where the oracle leaves the double
+    range is refused with DomainError."""
+    if m.f.theta_chain is None:
         raise PreconditionError("the Theta_c oracle needs a closed-form derivative")
-    x0 = math.log(p.r)
-    try:
-        oracle = complex(m.theta_weighted_profile(x0, p.theta)) * math.exp(-m.c * x0)
-    except OverflowError:
-        oracle = complex(math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = m.theta_c(p)
     if not cmath.isfinite(oracle):
         raise DomainError("the closed-form Theta_c oracle overflows at this point")
     return oracle
@@ -424,12 +422,13 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     to r^{-c} * valiron_reconstruct; the kernel is entire, so no limit
     branches are needed on the lattice.
 
-    Far out on the lattice (|c| |k| pi/T beyond about 709) the raw sample
-    and the weighted kernel leave the double range in opposite directions,
-    and their product is 0 * inf or inf * 0.  A term that is not finite is
-    therefore formed from the weighted sample instead, with the e^{-/+k nu}
-    factors cancelled: log y * weighted_k * r^{-c} sinc(log y - k) / k.
-    Finite terms keep the product above.  The 2n lattice terms are formed
+    Far out on the lattice the kernel argument e^{-k} y leaves the normal
+    double range (|k| beyond about 708), or the raw sample and the weighted
+    kernel do so in opposite directions (|c| |k| pi/T beyond about 709) and
+    their product is 0 * inf or inf * 0.  Such a term is therefore formed
+    from the weighted sample instead, with the e^{-k}, e^{-/+k nu} factors
+    cancelled: log y * weighted_k * y^{-nu} sinc(log y - k) / k.  Other
+    terms keep the product above.  The 2n lattice terms are formed
     as one array and summed in the order 1, -1, 2, -2, ... through one
     compensated sum.
     """
@@ -454,10 +453,13 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     acc = _Kahan()
     acc.add(head * (log_r * s.center_derivative + s.center_value))
     with np.errstate(over="ignore", invalid="ignore"):
-        # math.exp, not np.exp: the kernel arguments round as in a scalar loop
-        kernel = lin_value(nu, np.array([math.exp(-k) for k in ks.tolist()]) * y)
+        # math.exp, not np.exp: the kernel arguments round as in a scalar loop;
+        # e^{-k} overflows for k <= -710
+        arg = np.array([math.exp(-k) if k > -710 else math.inf for k in ks.tolist()]) * y
+        normal = np.isfinite(arg) & (arg >= np.finfo(float).tiny)  # log() of a subnormal loses bits
+        kernel = lin_value(nu, np.where(normal, arg, 1.0))
         terms = _div_real(log_y * samples * kernel, ks)
-    bad = ~np.isfinite(terms)
+    bad = ~(normal & np.isfinite(terms))
     if bad.any():
         kb = ks[bad]
         kernel = y ** (-nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
@@ -480,6 +482,8 @@ def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
     grid error is the caller's (default epsilon 1e-3 at n = 500 on the
     default grid).
     """
+    if n < 1:
+        raise PreconditionError("bernstein_check needs n >= 1")
     xs = grid.xs()
     den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
     if den == 0.0:

@@ -36,6 +36,7 @@ from mellin_polar import (
     residue_theorem_check,
     stirling_table,
     taylor_expand,
+    theta_oracle,
     theta_shift,
     valiron_derivative,
     valiron_lin_form,
@@ -81,7 +82,7 @@ def test_02_bound_soundness_900_checks():
         for x in xs:
             for th in ths:
                 p = PolarPoint(math.exp(x), th)
-                oracle = complex(m.theta_weighted_profile(x, th)) * math.exp(-m.c * x)
+                oracle = theta_oracle(m, p)
                 for n in (2, 4, 8, 16, 32, 64):
                     b = boas_derivative(m, p, n)
                     v = valiron_derivative(m, p, n)

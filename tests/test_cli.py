@@ -202,6 +202,13 @@ class TestCommandLine:
         assert main(["run", *args]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bernstein_without_blocks_is_an_error(self, n, capsys):
+        # an empty block table used to pass with the vacuous ratio 0
+        assert main(["run", "bernstein", f"--n={n}"]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
     def test_overflowing_integrand_is_an_error_not_a_traceback(self):
         proc = run_cli(["run", "contour-cauchy", "--function", "power", "--a", "1e308"])
         assert proc.returncode == 1

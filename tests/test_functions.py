@@ -28,6 +28,7 @@ from mellin_polar import (
     mellin_translate,
     power_member,
     sup_norm,
+    theta_oracle,
     theta_shift,
     verify_growth_bound,
 )
@@ -148,11 +149,14 @@ class TestClassMetadata:
                 assert complex(m.weighted_profile(x, th)) == pytest.approx(direct, rel=1e-12)
 
     def test_theta_profile_consistency(self):
+        # the chain oracle against the finite-difference Theta_c of a chainless copy
         for m in all_members():
+            fd_copy = PolarFunction(m.f.log_fn, m.f.domain)
             for x, th in lattice_points(10):
-                direct = math.exp(m.c * x) * m.theta_c(PolarPoint(math.exp(x), th))
-                assert complex(m.theta_weighted_profile(x, th)) == pytest.approx(
-                    direct, rel=1e-7, abs=1e-9)
+                p = PolarPoint(math.exp(x), th)
+                fd = math.exp(m.c * x) * mellin_derivative(fd_copy, p, m.c)
+                assert math.exp(m.c * x) * theta_oracle(m, p) == pytest.approx(
+                    fd, rel=1e-7, abs=1e-9)
 
     def test_as_class_widens_only(self):
         m = make_mellin_sine(0.0, 1.0)
@@ -224,12 +228,13 @@ class TestTransformations:
         lambda m: theta_shift(m, -0.61),
     ])
     def test_derivative_law_matches_operator(self, transform):
-        # the attached closed-form derivative must equal Theta_c applied to
+        # the pulled-back chain must equal the finite-difference Theta_c of
         # the transformed function, 50 points, 1e-7 relative
         g = transform(make_mellin_sine(0.5, 2.0))
+        fd_copy = PolarFunction(g.f.log_fn, g.f.domain)
         for x, th in lattice_points(50, (-1.5, 1.5), (-1.5, 1.5)):
             p = PolarPoint(math.exp(x), th)
-            closed = complex(g.theta_weighted_profile(x, th)) * math.exp(-g.c * x)
+            closed = mellin_derivative(fd_copy, p, g.c)
             operator = mellin_derivative(g.f, p, g.c)
             assert abs(closed - operator) <= 1e-7 * (1.0 + abs(closed))
 

@@ -9,6 +9,7 @@ import pytest
 from mellin_polar import (
     DegenerateInputError,
     MellinBernsteinMember,
+    PolarFunction,
     PolarPoint,
     PreconditionError,
     SampleSet,
@@ -22,6 +23,7 @@ from mellin_polar import (
     make_sine_blend,
     mellin_translate,
     power_member,
+    theta_oracle,
     theta_shift,
     valiron_derivative,
     valiron_lin_form,
@@ -158,7 +160,7 @@ class TestTruncationBounds:
             for x in xs:
                 for th in ths:
                     p = PolarPoint(math.exp(x), th)
-                    oracle = complex(m.theta_weighted_profile(x, th)) * math.exp(-m.c * x)
+                    oracle = theta_oracle(m, p)
                     for n in (2, 4, 8):
                         b = boas_derivative(m, p, n)
                         v = valiron_derivative(m, p, n)
@@ -183,10 +185,9 @@ class TestTruncationBounds:
         assert -2.3 <= valiron_slope <= -1.7
 
     def test_study_requires_oracle(self):
-        bare = MellinBernsteinMember(
-            constant(1.0), c=0.0, T=1.0, growth_constant=1.0,
-            theta_weighted_profile=None)
-        bare.theta_weighted_profile = None
+        one = constant(1.0)
+        bare = MellinBernsteinMember(PolarFunction(one.log_fn, one.domain),
+                                     c=0.0, T=1.0, growth_constant=1.0)
         with pytest.raises(PreconditionError):
             convergence_study(bare, PolarPoint(1.0, 0.0), [2, 4])
 
@@ -372,6 +373,12 @@ class TestBernsteinCheck:
     def test_degenerate_input_rejected(self):
         with pytest.raises(DegenerateInputError):
             bernstein_check(zero_member())
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_requires_at_least_one_block(self, n):
+        # an empty block table would give the vacuous ratio 0
+        with pytest.raises(PreconditionError):
+            bernstein_check(make_mellin_sine(0.0, 1.0), n=n)
 
     def test_other_members_respect_type(self):
         for m in (translated_sine(0.5, 2.0),

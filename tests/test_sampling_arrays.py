@@ -177,6 +177,24 @@ def test_weighted_lin_form_finite_beyond_double_range(c, T):
             assert abs(weighted - plain) <= 1e-10 * r ** (-c)
 
 
+@pytest.mark.parametrize("m", [
+    make_mellin_sine(0.2, 1.0),
+    # ring samples of magnitude 1/2, so the terms whose kernel argument
+    # e^{-k} y is subnormal (708 < k < 745) are not negligible
+    mellin_translate(make_mellin_sine(-0.4, 2.0), math.exp(math.pi / 12.0)),
+], ids=["mellin-sine", "translated-sine"])
+def test_lin_forms_past_the_exp_range(m):
+    # n >= 710: e^{-k} overflows at k = -710 and leaves the normal range
+    # past k = 708, so those terms take the sinc(log y - k) branch
+    n = 800
+    s = SampleSet.from_member(m, n)
+    for r in (0.7, 1.3, 5.0):
+        want = valiron_reconstruct(s, r, n).value * r ** (-m.c)
+        for variant in ("weighted", "plain"):
+            got = valiron_lin_form(s, r, n, variant)
+            assert abs(got - want) <= 1e-10 * abs(want), (r, variant)
+
+
 # ---------------------------------------------------------------------------
 # closed-form tail gauge
 # ---------------------------------------------------------------------------

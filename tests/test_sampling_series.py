@@ -16,6 +16,7 @@ import pytest
 from mellin_polar import (
     DomainError,
     LogGrid,
+    PolarFunction,
     PolarPoint,
     PreconditionError,
     bernstein_check,
@@ -24,6 +25,7 @@ from mellin_polar import (
     fourier_valiron_derivative,
     make_mellin_sine,
     make_sine_blend,
+    mellin_derivative,
     mellin_dilate,
     mellin_translate,
     power_member,
@@ -223,11 +225,16 @@ def test_overflowing_bound_is_a_domain_error(series, theta):
 
 
 def test_theta_oracle_is_the_closed_form():
+    # the oracle is the Theta-chain, bitwise; the finite-difference Theta_c of
+    # a chainless copy checks it independently
     m = make_sine_blend(0.5, 2.0)
+    fd_copy = PolarFunction(m.f.log_fn, m.f.domain)
     for r, theta in ((1.0, 0.0), (1.3, 0.4), (0.2, -1.1)):
-        x0 = math.log(r)
-        want = complex(m.theta_weighted_profile(x0, theta)) * math.exp(-m.c * x0)
-        assert _hex(theta_oracle(m, PolarPoint(r, theta))) == _hex(want)
+        p = PolarPoint(r, theta)
+        got = theta_oracle(m, p)
+        assert _hex(got) == _hex(mellin_derivative(m.f, p, m.c))
+        fd = mellin_derivative(fd_copy, p, m.c)
+        assert abs(got - fd) <= 1e-8 * abs(fd)
 
 
 def test_overflowing_oracle_is_a_domain_error():
