@@ -21,11 +21,12 @@ integral around a curve equals 2 pi i times the sum of their c-residues
 
     (res_c f)(r0, th0) = (r0 e^{i th0})^c (Theta_c^{k-1} g)(r0, th0)/(k-1)!.
 
-Quadrature: composite Gauss-Legendre per segment with adaptive bisection;
-integrands are smooth on the contours (poles stay interior), so convergence
-is spectral.  Segments are parametrized symmetrically around their midpoint
-and node sets are exactly symmetric, so reversing a curve evaluates the same
-chart points with negated velocities and the integral negates exactly.
+Quadrature: composite Gauss-Legendre with global bisection under a fixed pass
+cap; integrands are smooth on the contours (poles stay interior), so
+convergence is spectral.  Segments are parametrized symmetrically around their
+midpoint and node sets are exactly symmetric, so reversing a curve evaluates
+the same chart points with negated velocities, splits the mirrored pieces, and
+the integral negates exactly.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre order per pass, max dyadic splits, absolute tolerance."""
+    """Gauss-Legendre order per pass; absolute tolerance on the curve's summed gap."""
 
     nodes_per_segment: int = 16
-    refinement: int = 40
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -84,11 +84,10 @@ class QuadratureSpec:
             raise PreconditionError("need at least 4 Gauss-Legendre nodes")
         if not (self.tol > 0.0):
             raise PreconditionError("tolerance must be positive")
-        if self.refinement < 0:
-            raise PreconditionError("refinement depth must be >= 0")
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_PASSES = 4096  # per quadrature; a tolerance still unmet then is an error
 
 
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +274,7 @@ class LogPoleSpec:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre contour quadrature
+# Contour quadrature: global bisection of Gauss-Legendre pieces
 # ---------------------------------------------------------------------------
 
 def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -> complex:
@@ -287,54 +286,54 @@ def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -
                                math.fsum((weights * vals.imag).tolist()))
     except (ValueError, OverflowError):  # fsum of inf - inf, or a sum past the float range
         total = complex(math.nan)
-    # a non-finite pass makes every gap NaN or inf, and bisection would then
-    # run to the full refinement depth
-    if not cmath.isfinite(total):
+    if not cmath.isfinite(total):  # its gaps would be NaN or inf
         raise DomainError("the integrand is not finite on the contour")
     return total
 
 
-def _adaptive(fn_u, a: float, b: float, whole: complex, tol: float, depth: int,
-              nodes: np.ndarray, weights: np.ndarray) -> tuple[complex, float, bool]:
-    """Bisect [a, b] until the halves agree with ``whole``, its pass, to tol."""
+def _piece(fn_u, a: float, b: float, whole: complex, nodes, weights) -> tuple:
+    """(gap, fn_u, a, mid, b, left, right): passes over the halves, gap to ``whole``."""
     mid = 0.5 * (a + b)
     left = _gl_pass(fn_u, a, mid, nodes, weights)
     right = _gl_pass(fn_u, mid, b, nodes, weights)
-    gap = abs(left + right - whole)
-    if gap <= tol:
-        return left + right, gap, True
-    if depth <= 0:
-        return left + right, gap, False
-    lv, lg, lok = _adaptive(fn_u, a, mid, left, tol / 2.0, depth - 1, nodes, weights)
-    rv, rg, rok = _adaptive(fn_u, mid, b, right, tol / 2.0, depth - 1, nodes, weights)
-    return lv + rv, lg + rg, lok and rok
+    return abs(left + right - whole), fn_u, a, mid, b, left, right
 
 
 def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
     """Integrate fn_chart(zeta) dzeta along gamma (fn_chart vectorized)."""
     nodes, weights = _gl_rule(q.nodes_per_segment)
-    tol_per_segment = q.tol / len(gamma.segments)
-    parts_re, parts_im = [], []
-    bad_gap = 0.0
+    pieces = []
     for seg in gamma.segments:
         def fn_u(u, seg=seg):
             return np.asarray(fn_chart(seg.chart(u)), dtype=complex) * seg.velocity(u)
-        val, gap, ok = _adaptive(fn_u, -0.5, 0.5, _gl_pass(fn_u, -0.5, 0.5, nodes, weights),
-                                 tol_per_segment, q.refinement, nodes, weights)
-        if not ok:
-            bad_gap += gap
-        parts_re.append(val.real)
-        parts_im.append(val.imag)
-    total = complex(math.fsum(parts_re), math.fsum(parts_im))
-    if bad_gap > 0.0:
+        pieces.append(_piece(fn_u, -0.5, 0.5, _gl_pass(fn_u, -0.5, 0.5, nodes, weights),
+                             nodes, weights))
+    passes = 3 * len(pieces)
+    while (gap := math.fsum(p[0] for p in pieces)) > q.tol:
+        worst = max(p[0] for p in pieces)
+        passes += 4 * sum(p[0] == worst for p in pieces)  # once the worst pieces split
+        if passes > _MAX_PASSES:
+            break
+        split = []  # in position order, like pieces
+        for p in pieces:
+            if p[0] == worst:
+                _, fn_u, a, mid, b, left, right = p
+                split += [_piece(fn_u, a, mid, left, nodes, weights),
+                          _piece(fn_u, mid, b, right, nodes, weights)]
+            else:
+                split.append(p)
+        pieces = split
+    values = [p[5] + p[6] for p in pieces]
+    total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    if gap > q.tol:
         raise ToleranceNotMetError(
-            f"contour quadrature missed tolerance {q.tol} (residual gap {bad_gap:.3e})",
-            best_estimate=total, gap=bad_gap)
+            f"contour quadrature missed tolerance {q.tol} within {_MAX_PASSES} passes "
+            f"(residual gap {gap:.3e})", best_estimate=total, gap=gap)
     return total
 
 
 def _winding_number(gamma: Curve, zeta0: complex) -> int:
-    q = QuadratureSpec(nodes_per_segment=16, refinement=24, tol=1e-6)
+    q = QuadratureSpec(tol=1e-6)
     w = _contour_quadrature(lambda zeta: 1.0 / (zeta - zeta0), gamma, q)
     return round((w / (2j * math.pi)).real)
 

@@ -456,12 +456,20 @@ def _chart_affine(m: MellinBernsteinMember, a: float, b: complex, s: float,
 
     Derivative law, at every order the chain of f reaches:
     (Theta_{c'} g)(zeta) = a s (Theta_{c'/a} f)(a zeta + b).
+
+    A class constant or an s outside the double range (s = 0 included) is
+    refused with DomainError.
     """
     br, bi = b.real, b.imag
     wp_f = m.weighted_profile
+    try:
+        growth = m.growth_constant * math.exp(m.T * abs(bi))
+    except OverflowError:
+        growth = math.inf
+    if not (math.isfinite(growth) and 0.0 < abs(s) < math.inf):
+        raise DomainError(f"{name}: the class constant or the weight leaves the double range")
     return MellinBernsteinMember(
-        _pullback(m.f, a, b, s, name), a * m.c, a * m.T,
-        m.growth_constant * math.exp(m.T * abs(bi)), name=name,
+        _pullback(m.f, a, b, s, name), a * m.c, a * m.T, growth, name=name,
         weighted_profile=lambda x, th: wp_f(a * x + br, a * th + bi))
 
 
@@ -473,8 +481,11 @@ def mellin_translate(m: MellinBernsteinMember, t: float) -> MellinBernsteinMembe
     """
     if not (t > 0.0):
         raise PreconditionError("translation parameter t must be positive")
-    return _chart_affine(m, 1.0, complex(math.log(t), 0.0), t ** m.c,
-                         f"translate({m.name}, t={t})")
+    try:
+        s = t ** m.c
+    except OverflowError:
+        s = math.inf
+    return _chart_affine(m, 1.0, complex(math.log(t), 0.0), s, f"translate({m.name}, t={t})")
 
 
 def mellin_dilate(m: MellinBernsteinMember) -> MellinBernsteinMember:

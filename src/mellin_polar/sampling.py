@@ -172,6 +172,7 @@ class SampleSet:
             raise PreconditionError("need at least one ring sample pair")
         ks = [k for k in range(-n, n + 1) if k != 0]
         xs = np.array([k * math.pi / m.T for k in ks])
+        _check_shifts(0.0, np.abs(xs).tolist())
         weighted = m.weighted_profile(xs, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             raw = weighted * np.exp(-m.c * xs)  # may over/underflow; see valiron_lin_form
@@ -188,11 +189,19 @@ class SampleSet:
 # Differentiation series
 # ---------------------------------------------------------------------------
 
+def _check_shifts(x, rhos: Sequence[float]) -> None:
+    """Refuse shifts x +/- rho that are not finite or leave some x in place."""
+    lo = min(rhos)
+    if not (math.isfinite(max(rhos)) and np.all((x + lo != x) & (x - lo != x))):
+        raise DomainError("a sampling shift is not finite or too small to move the point")
+
+
 def _block_sum(profile: Callable, x, rhos: Sequence[float], coefs: Sequence[float]):
     """Compensated sum, in table order, of coefs[j] (profile(x + rhos[j]) - profile(x - rhos[j])).
 
     Elementwise for an array x.  Returns the total and the last block.
     """
+    _check_shifts(x, rhos)
     acc = _Kahan()
     block = 0.0 + 0j
     for rho, coef in zip(rhos, coefs):
@@ -210,6 +219,7 @@ def _boas_blocks(T: float, n: int) -> tuple[list[float], list[float]]:
 def _valiron_sum(profile: Callable, x, T: float, n: int):
     """The sum of fourier_valiron_derivative with w = T, and its last block times T/pi."""
     half = math.pi / (2.0 * T)
+    _check_shifts(x, (half,))
     central = 0.5 * T * (profile(x + half) - profile(x - half))
     total, last = _block_sum(
         profile, x, [k * math.pi / T for k in range(1, n + 1)],
@@ -255,11 +265,14 @@ def boas_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> Truncati
     if n < 1:
         raise PreconditionError("boas_derivative needs n >= 1")
     x0, unweight, factor = _series_point(m, p)
+    scale = 4.0 * m.T / math.pi ** 2
+    bound = 4.0 * factor / (math.pi ** 2 * (2.0 * n - 1.0))
+    if not (math.isfinite(scale) and math.isfinite(bound)):
+        raise DomainError("the a-priori truncation bound overflows at this point")
     total, last = _block_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
                              *_boas_blocks(m.T, n))
-    scale = 4.0 * m.T / math.pi ** 2
     return TruncationReport(value=scale * unweight * total, n_terms=2 * n,
-                            apriori_bound=4.0 * factor / (math.pi ** 2 * (2.0 * n - 1.0)),
+                            apriori_bound=bound,
                             empirical_tail=abs(scale * unweight * last),
                             formula_id="boas")
 

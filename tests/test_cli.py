@@ -229,3 +229,33 @@ class TestCommandLine:
         assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["contour-cauchy", "--function", "power", "--a", "705"], "missed tolerance"),
+        (["contour-cauchy", "--tol", "1e-300"], "missed tolerance"),  # no pass can meet it
+        (["residue-defect", "--tol", "1e-300"], "missed tolerance"),
+        (["boas-convergence", "--T", "1e308", "--point", "1,0"], "bound overflows"),  # 4T/pi^2
+        (["boas-convergence", "--T", "1e-320"], "sampling shift"),  # pi/T = inf
+        (["valiron-convergence", "--T", "1e-320"], "sampling shift"),
+        (["reconstruct", "--T", "1e-320"], "sampling shift"),
+        (["bernstein", "--T", "1e-320"], "sampling shift"),
+        (["bernstein", "--T", "1e308"], "sampling shift"),  # pi/(2T) moves no grid point
+        (["fourier-demo", "--x", "1e300"], "sampling shift"),  # x +/- k pi/w == x
+        (["reconstruct", "--function", "theta-shifted-sine", "--alpha", "800"], "double range"),
+        (["boas-convergence", "--function", "translated-sine", "--t-shift", "1e300", "--c", "2"],
+         "double range"),
+    ])
+    def test_refused_run_is_an_error_without_traceback_or_nan(self, args, message, tmp_path,
+                                                              capsys):
+        out = tmp_path / "out.csv"
+        assert main(["run", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") and message in line for line in err.splitlines())
+        assert "Traceback" not in err
+        if out.exists():
+            rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+            assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row[2:]}
+
+    def test_tight_quadrature_tolerance_is_met(self, tmp_path):
+        assert main(["run", "contour-cauchy", "--tol", "1e-15",
+                     "--out", str(tmp_path / "out.csv")]) == 0

@@ -30,6 +30,7 @@ from mellin_polar import (
     residue_numeric,
     residue_theorem_check,
 )
+from mellin_polar import contours
 from mellin_polar.core import Domain, constant
 
 from util import lattice_points
@@ -70,13 +71,13 @@ class TestLineIntegral:
 
     def test_orientation_antisymmetry_exact_single_pass(self):
         gamma = LogRectangle(-0.7, 0.4, -0.6, 0.8).boundary()
-        q = QuadratureSpec(nodes_per_segment=24, refinement=0, tol=1.0)
+        q = QuadratureSpec(nodes_per_segment=24, tol=1.0)
         f = make_mellin_sine(0.5, 2.0).f
         forward = line_integral(f, gamma, q)
         backward = line_integral(f, gamma.reversed(), q)
         assert backward == -forward  # bitwise: same nodes, negated velocity
 
-    def test_orientation_antisymmetry_adaptive(self):
+    def test_orientation_antisymmetry_at_default_tolerance(self):
         gamma = log_circle(PolarPoint(1.0, 0.0), 0.9)
         f = make_power(2.0 + 1.0j)
         forward = line_integral(f, gamma)
@@ -101,24 +102,24 @@ class TestLineIntegral:
         f = make_mellin_sine(0.0, 2.0).f
         defects = []
         for nodes in (6, 12, 24):
-            q = QuadratureSpec(nodes_per_segment=nodes, refinement=0, tol=1.0)
+            q = QuadratureSpec(nodes_per_segment=nodes, tol=1.0)
             defects.append(abs(line_integral(f, gamma, q)))
         for lo, hi in zip(defects[1:], defects[:-1]):
             assert lo <= hi / 4.0 or lo < 1e-13
 
     def test_tolerance_failure_carries_best_estimate(self):
-        # integrand with a near-singularity and no refinement budget
+        # integrand with a near-singularity and a tolerance no pass can meet
         g = PolarFunction(lambda x, th: 1.0 / (np.asarray(x) + 1j * np.asarray(th)
                                                - complex(0.0, 1.0 + 1e-6)))
         gamma = UNIT_RECT.boundary()
         with pytest.raises(ToleranceNotMetError) as info:
-            line_integral(g, gamma, QuadratureSpec(refinement=2, tol=1e-12))
+            line_integral(g, gamma, QuadratureSpec(tol=1e-300))
         assert info.value.gap > 0.0
         assert isinstance(info.value.best_estimate, complex)
 
     def test_nan_integrand_raises_at_the_first_pass(self):
         # a NaN gap never meets the tolerance; without the check bisection
-        # would run to depth 40 on every segment
+        # would run to the pass cap
         calls = []
 
         def log_fn(x, th):
@@ -129,7 +130,7 @@ class TestLineIntegral:
             line_integral(PolarFunction(log_fn), UNIT_RECT.boundary())
         assert len(calls) == 1
 
-    def test_adaptive_passes_never_repeat_an_interval(self):
+    def test_bisection_passes_never_repeat_an_interval(self):
         # a pole just outside the top edge forces bisection; each pass hands
         # the integrand the nodes of one interval, so a repeat means the same
         # interval was integrated twice
@@ -143,6 +144,35 @@ class TestLineIntegral:
         line_integral(PolarFunction(log_fn), UNIT_RECT.boundary())
         assert len(seen) > 4 * 3  # more than one bisection level on some segment
         assert len(set(seen)) == len(seen)
+
+    def test_unmeetable_tolerance_stops_at_the_pass_cap(self):
+        # each pass is one integrand call on the 16 nodes of one interval;
+        # the counter raises long before an uncapped bisection would stop
+        calls = []
+
+        def log_fn(x, th):
+            x, th = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(th, dtype=float))
+            assert x.shape == (16,)
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("no pass cap")
+            return 1.0 / (x + 1j * th - complex(0.0, 1.05))
+
+        with pytest.raises(ToleranceNotMetError, match="missed tolerance"):
+            line_integral(PolarFunction(log_fn), UNIT_RECT.boundary(), QuadratureSpec(tol=1e-300))
+        assert len(calls) <= contours._MAX_PASSES
+
+    def test_orientation_antisymmetry_exact_after_bisection(self):
+        calls = []
+
+        def log_fn(x, th):
+            calls.append(1)
+            return 1.0 / (np.asarray(x) + 1j * np.asarray(th) - complex(0.0, 1.05))
+
+        g = PolarFunction(log_fn)
+        forward = line_integral(g, UNIT_RECT.boundary())
+        assert len(calls) > 4 * 3  # some piece was split
+        assert line_integral(g, UNIT_RECT.boundary().reversed()) == -forward
 
 
 # ---------------------------------------------------------------------------

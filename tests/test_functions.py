@@ -274,6 +274,16 @@ class TestTransformations:
             law = a ** k * s * higher_mellin_derivative(m.f, q, c_new / a, k)
             assert abs(got - law) <= 1e-10 * (1.0 + abs(law))
 
+    @pytest.mark.parametrize("build", [
+        lambda: theta_shift(make_mellin_sine(0.0, 1.0), 800.0),  # C_f e^{T |alpha|}
+        lambda: theta_shift(make_sine_blend(0.0, 2.0), 355.0),
+        lambda: mellin_translate(make_mellin_sine(2.0, 1.0), 1e300),  # s = t^c
+        lambda: mellin_translate(make_mellin_sine(2.0, 1.0), 1e-300),  # s = 0
+    ])
+    def test_chart_affine_outside_the_double_range_is_refused(self, build):
+        with pytest.raises(DomainError, match="double range"):
+            build()
+
 
 # ---------------------------------------------------------------------------
 # central Mellin differences

@@ -8,6 +8,7 @@ import pytest
 
 from mellin_polar import (
     DegenerateInputError,
+    DomainError,
     MellinBernsteinMember,
     PolarFunction,
     PolarPoint,
@@ -183,6 +184,23 @@ class TestTruncationBounds:
         valiron_slope = fit_loglog_slope([r.n for r in rows], [r.valiron_error for r in rows])
         assert -1.3 <= boas_slope <= -0.7
         assert -2.3 <= valiron_slope <= -1.7
+
+    def test_overflowing_boas_scale_is_refused(self):
+        # C_f T e^{T|theta|} r^{-c} is finite at T = 1e308, 4T/pi^2 is not
+        with pytest.raises(DomainError, match="bound overflows"):
+            boas_derivative(make_mellin_sine(0.0, 1e308), PolarPoint(1.0, 0.0), 4)
+
+    @pytest.mark.parametrize("call", [
+        lambda: boas_derivative(make_mellin_sine(0.0, 1e-320), PolarPoint(1.0, 0.0), 4),
+        lambda: valiron_derivative(make_mellin_sine(0.0, 1e-320), PolarPoint(1.0, 0.0), 4),
+        lambda: valiron_derivative(make_mellin_sine(0.0, 1e308), PolarPoint(2.0, 0.0), 4),
+        lambda: SampleSet.from_member(make_mellin_sine(0.0, 1e-320), 4),
+        lambda: bernstein_check(make_mellin_sine(0.0, 1e20), n=4),
+        lambda: fourier_valiron_derivative(lambda t: 1.0, 1.0, 1e300, 4),
+    ])
+    def test_shifts_that_are_infinite_or_do_not_move_x_are_refused(self, call):
+        with pytest.raises(DomainError, match="sampling shift"):
+            call()
 
     def test_study_requires_oracle(self):
         one = constant(1.0)
