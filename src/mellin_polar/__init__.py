@@ -6,9 +6,10 @@ The package provides, in layers:
                 tables, Cauchy-Riemann residuals, Taylor-type expansions;
 * ``functions`` closed-form test functions, Mellin-Bernstein class metadata,
                 the space-preserving transformations, weighted sup norms;
-* ``contours``  curves in the (log r, theta) chart, adaptive Gauss-Legendre
-                contour quadrature, Cauchy integral formulas, c-residues of
-                logarithmic poles and the residue-theorem defect;
+* ``contours``  curves in the (log r, theta) chart with exact winding
+                numbers, contour quadrature by one 16-point Gauss-Legendre
+                rule under global bisection, Cauchy integral formulas,
+                c-residues of logarithmic poles and the residue-theorem defect;
 * ``sampling``  Boas-type and Valiron-derived differentiation series,
                 Valiron reconstruction with lin-kernel forms, Bernstein
                 inequality checks, truncation with a-priori error bounds;

@@ -26,7 +26,8 @@ cap; integrands are smooth on the contours (poles stay interior), so
 convergence is spectral.  Segments are parametrized symmetrically around their
 midpoint and node sets are exactly symmetric, so reversing a curve evaluates
 the same chart points with negated velocities, splits the mirrored pieces, and
-the integral negates exactly.
+the integral negates exactly.  Enclosure needs no quadrature: the winding
+number around a point is the exact sum of the segments' turnings around it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import (
     Domain,
@@ -74,36 +74,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre order per pass; absolute tolerance on the curve's summed gap."""
+    """Absolute tolerance on the curve's summed gap."""
 
-    nodes_per_segment: int = 16
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes_per_segment < 4:
-            raise PreconditionError("need at least 4 Gauss-Legendre nodes")
         if not (self.tol > 0.0):
             raise PreconditionError("tolerance must be positive")
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PASSES = 4096  # per quadrature; a tolerance still unmet then is an error
 
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GL_CACHE.get(n)
-    if rule is None:
-        x, w = special.roots_legendre(n)
-        x = 0.5 * (x - x[::-1])  # enforce exact +/- symmetry of the node set
-        w = 0.5 * (w + w[::-1])
-        _GL_CACHE[n] = rule = (x, w)
-    return rule
+# The one Gauss-Legendre rule: scipy's roots_legendre(16) with x -> (x(i) - x(15-i))/2
+# and w -> (w(i) + w(15-i))/2, so the node set is exactly +/- symmetric.  Its positive
+# half is written out (and checked in the tests), which keeps scipy.linalg off import.
+_GL_HALF_NODES = np.array([0.09501250983763745, 0.2816035507792589, 0.4580167776572274,
+                           0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                           0.9445750230732326, 0.9894009349916499])
+_GL_HALF_WEIGHTS = np.array([0.1894506104550681, 0.18260341504492328, 0.16915651939500212,
+                             0.14959598881657638, 0.12462897125553363, 0.09515851168249231,
+                             0.06225352393864763, 0.027152459411756466])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 # ---------------------------------------------------------------------------
 # Segments and curves (chart coordinates).  Segments are maps of the
 # symmetric parameter u in [-1/2, 1/2]; reversal negates the direction data
-# exactly and re-traverses the identical chart points.
+# exactly and re-traverses the identical chart points.  ``turning(zeta0)`` is
+# the exact increase of arg(zeta - zeta0) along a segment, NaN on the segment.
 # ---------------------------------------------------------------------------
 
 class LineSegment:
@@ -135,6 +134,10 @@ class LineSegment:
     def reversed(self):
         return LineSegment(self.zeta1, self.zeta0)
 
+    def turning(self, zeta0: complex) -> float:
+        t = (self.zeta0 - zeta0).conjugate() * (self.zeta1 - zeta0)
+        return math.nan if t.imag == 0.0 and t.real <= 0.0 else cmath.phase(t)
+
 
 class ArcSegment:
     """Chart circular arc center + radius e^{i phi}, phi affine in u."""
@@ -161,43 +164,52 @@ class ArcSegment:
 
     @property
     def start(self):
-        return self.chart(-0.5)
+        return self.center + cmath.rect(self.radius, self.phi0)
 
     @property
     def end(self):
-        return self.chart(0.5)
+        return self.center + cmath.rect(self.radius, self.phi1)
 
     def reversed(self):
         return ArcSegment(self.center, self.radius, self.phi1, self.phi0)
+
+    def turning(self, zeta0: complex) -> float:
+        """The chord's turning, plus a full turn when zeta0 lies between chord and arc."""
+        if abs(self._phi_dir) >= 2.0 * math.pi:  # halves, so that arc and chord bound one region
+            return sum(ArcSegment(self.center, self.radius, a, b).turning(zeta0)
+                       for a, b in ((self.phi0, self._phi_mid), (self._phi_mid, self.phi1)))
+        t = (self.start - zeta0).conjugate() * (self.end - zeta0)
+        if t == 0.0:  # zeta0 is an end point
+            return math.nan
+        turn = cmath.phase(t)
+        dist = abs(zeta0 - self.center)
+        if turn * self._phi_dir < 0.0 and dist <= self.radius:  # the arc's side of the chord
+            if dist == self.radius:  # on the arc
+                return math.nan
+            turn += math.copysign(2.0 * math.pi, self._phi_dir)
+        return turn
 
 
 _CLOSURE_TOL = 1e-12
 
 
 class Curve:
-    """Piecewise-smooth positively oriented path; closed when ends meet.
+    """Piecewise-smooth path of line and arc segments; closed when ends meet."""
 
-    ``interior`` is an optional exact membership predicate (chart point ->
-    bool) attached by the rectangle/circle constructors; generic curves fall
-    back to a quadrature winding number.
-    """
+    __slots__ = ("segments", "closed")
 
-    __slots__ = ("segments", "closed", "interior")
-
-    def __init__(self, segments: Sequence, interior: Optional[Callable[[complex], bool]] = None):
+    def __init__(self, segments: Sequence):
         segments = tuple(segments)
         if not segments:
             raise PreconditionError("a curve needs at least one segment")
         for a, b in zip(segments, segments[1:]):
-            if abs(complex(a.end) - complex(b.start)) > _CLOSURE_TOL:
+            if abs(a.end - b.start) > _CLOSURE_TOL:
                 raise PreconditionError("curve segments are not contiguous")
         self.segments = segments
-        self.closed = abs(complex(segments[-1].end) - complex(segments[0].start)) <= _CLOSURE_TOL
-        self.interior = interior
+        self.closed = abs(segments[-1].end - segments[0].start) <= _CLOSURE_TOL
 
     def reversed(self) -> "Curve":
-        return Curve(tuple(s.reversed() for s in reversed(self.segments)),
-                     interior=self.interior)
+        return Curve(tuple(s.reversed() for s in reversed(self.segments)))
 
     def theta_span(self) -> tuple[float, float]:
         lo, hi = math.inf, -math.inf
@@ -222,27 +234,22 @@ class LogRectangle:
         if not (self.log_r_min < self.log_r_max and self.theta_min < self.theta_max):
             raise PreconditionError("degenerate chart rectangle")
 
-    def contains(self, zeta: complex, margin: float = 0.0) -> bool:
-        return (self.log_r_min + margin < zeta.real < self.log_r_max - margin
-                and self.theta_min + margin < zeta.imag < self.theta_max - margin)
-
     def boundary(self) -> Curve:
         c = [complex(self.log_r_min, self.theta_min),
              complex(self.log_r_max, self.theta_min),
              complex(self.log_r_max, self.theta_max),
              complex(self.log_r_min, self.theta_max)]
         segs = [LineSegment(c[i], c[(i + 1) % 4]) for i in range(4)]
-        return Curve(segs, interior=self.contains)
+        return Curve(segs)
 
 
 def log_circle(center: PolarPoint, radius: float) -> Curve:
     """Positively oriented boundary of the polar disk E(center, radius)."""
     if not (radius > 0.0):
         raise PreconditionError("radius must be positive")
-    z0 = center.log_z
-    quarters = [ArcSegment(z0, radius, k * math.pi / 2.0, (k + 1) * math.pi / 2.0)
+    quarters = [ArcSegment(center.log_z, radius, k * math.pi / 2.0, (k + 1) * math.pi / 2.0)
                 for k in range(4)]
-    return Curve(quarters, interior=lambda zeta: abs(zeta - z0) < radius)
+    return Curve(quarters)
 
 
 @dataclass(frozen=True)
@@ -277,13 +284,13 @@ class LogPoleSpec:
 # Contour quadrature: global bisection of Gauss-Legendre pieces
 # ---------------------------------------------------------------------------
 
-def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -> complex:
+def _gl_pass(fn_u, a: float, b: float) -> complex:
     half = 0.5 * (b - a)
-    u = 0.5 * (a + b) + half * nodes
+    u = 0.5 * (a + b) + half * _GL_NODES
     vals = np.asarray(fn_u(u), dtype=complex)
     try:
-        total = half * complex(math.fsum((weights * vals.real).tolist()),
-                               math.fsum((weights * vals.imag).tolist()))
+        total = half * complex(math.fsum((_GL_WEIGHTS * vals.real).tolist()),
+                               math.fsum((_GL_WEIGHTS * vals.imag).tolist()))
     except (ValueError, OverflowError):  # fsum of inf - inf, or a sum past the float range
         total = complex(math.nan)
     if not cmath.isfinite(total):  # its gaps would be NaN or inf
@@ -291,23 +298,21 @@ def _gl_pass(fn_u, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -
     return total
 
 
-def _piece(fn_u, a: float, b: float, whole: complex, nodes, weights) -> tuple:
+def _piece(fn_u, a: float, b: float, whole: complex) -> tuple:
     """(gap, fn_u, a, mid, b, left, right): passes over the halves, gap to ``whole``."""
     mid = 0.5 * (a + b)
-    left = _gl_pass(fn_u, a, mid, nodes, weights)
-    right = _gl_pass(fn_u, mid, b, nodes, weights)
+    left = _gl_pass(fn_u, a, mid)
+    right = _gl_pass(fn_u, mid, b)
     return abs(left + right - whole), fn_u, a, mid, b, left, right
 
 
 def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
     """Integrate fn_chart(zeta) dzeta along gamma (fn_chart vectorized)."""
-    nodes, weights = _gl_rule(q.nodes_per_segment)
     pieces = []
     for seg in gamma.segments:
         def fn_u(u, seg=seg):
             return np.asarray(fn_chart(seg.chart(u)), dtype=complex) * seg.velocity(u)
-        pieces.append(_piece(fn_u, -0.5, 0.5, _gl_pass(fn_u, -0.5, 0.5, nodes, weights),
-                             nodes, weights))
+        pieces.append(_piece(fn_u, -0.5, 0.5, _gl_pass(fn_u, -0.5, 0.5)))
     passes = 3 * len(pieces)
     while (gap := math.fsum(p[0] for p in pieces)) > q.tol:
         worst = max(p[0] for p in pieces)
@@ -318,8 +323,7 @@ def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
         for p in pieces:
             if p[0] == worst:
                 _, fn_u, a, mid, b, left, right = p
-                split += [_piece(fn_u, a, mid, left, nodes, weights),
-                          _piece(fn_u, mid, b, right, nodes, weights)]
+                split += [_piece(fn_u, a, mid, left), _piece(fn_u, mid, b, right)]
             else:
                 split.append(p)
         pieces = split
@@ -332,20 +336,13 @@ def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
     return total
 
 
-def _winding_number(gamma: Curve, zeta0: complex) -> int:
-    q = QuadratureSpec(tol=1e-6)
-    w = _contour_quadrature(lambda zeta: 1.0 / (zeta - zeta0), gamma, q)
-    return round((w / (2j * math.pi)).real)
-
-
 def _require_interior(gamma: Curve, p0: PolarPoint) -> None:
+    """Refuse p0 unless gamma winds once positively around it (exact angle sum)."""
     zeta0 = p0.log_z
-    if gamma.interior is not None:
-        if not gamma.interior(zeta0):
-            raise PreconditionError("the target point is not interior to the curve")
-        return
-    if _winding_number(gamma, zeta0) != 1:
-        raise PreconditionError("the target point is not enclosed once positively")
+    winding = math.fsum(seg.turning(zeta0) for seg in gamma.segments) / (2.0 * math.pi)
+    if not abs(winding - 1.0) < 0.5:  # also NaN: p0 on the curve
+        raise PreconditionError("the target point is not interior to the curve "
+                                "(wound once, positively)")
 
 
 # ---------------------------------------------------------------------------

@@ -312,13 +312,10 @@ def _polar_derivative_fd_grid(f: PolarFunction, x, theta, h: float = DEFAULT_FD_
 def mellin_derivative(f: PolarFunction, p: PolarPoint, c: float) -> complex:
     """(Theta_c f)(p) = r e^{i theta} (D_pol f)(p) + c f(p).
 
-    Evaluates the function's Theta-chain when it carries one, and the
-    finite-difference oracle for D_pol otherwise.
+    The first order of :func:`higher_mellin_derivative`: the function's
+    Theta-chain when it carries one, the finite-difference oracle otherwise.
     """
-    if f.theta_chain is not None:
-        f.domain.require(p)
-        return f.theta_chain(c)(p)
-    return p.z * polar_derivative_fd(f, p) + c * f(p)
+    return higher_mellin_derivative(f, p, c, 1)
 
 
 def cauchy_riemann_residual(f: PolarFunction, p: PolarPoint, h: float = 1e-5) -> float:
@@ -406,17 +403,21 @@ def higher_mellin_derivative(f: PolarFunction, p: PolarPoint, c: float, k: int) 
        Theta_c^m = sum_j S_c(m, j) (r e^{i theta})^j D_pol^j.  This route is
        ill-conditioned: beyond order 4 a ConditioningWarning is emitted and
        the digits decay quickly.
+
+    p must lie in f's domain, and for route 2 as far inside the last closed
+    form's domain as the nested steps reach.
     """
     if k < 0:
         raise PreconditionError("derivative order k must be >= 0")
-    if k == 0:
-        f.domain.require(p)
+    f.domain.require(p)
     g, done = f, 0
     while done < k and g.theta_chain is not None:
         g, done = g.theta_chain(c), done + 1
     if done == k:
         return g(p)
     m = k - done
+    steps = [_NESTED_FD_STEPS[min(j, len(_NESTED_FD_STEPS) - 1)] for j in range(m)]
+    g.domain.require(p, margin=sum(steps))
     if m > 4:
         warnings.warn(
             f"nested finite-difference polar derivatives of order {m} > 4 are "
@@ -425,8 +426,7 @@ def higher_mellin_derivative(f: PolarFunction, p: PolarPoint, c: float, k: int) 
     table = stirling_table(c, m)
     x, th = math.log(p.r), p.theta
     derivs = [complex(g.log_fn(x, th))]
-    for j in range(1, m + 1):
-        h = _NESTED_FD_STEPS[min(j - 1, len(_NESTED_FD_STEPS) - 1)]
+    for h in steps:
         g = _fd_derivative_function(g, h)
         derivs.append(complex(g.log_fn(x, th)))
     zj = 1.0 + 0j

@@ -498,11 +498,12 @@ def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
     if n < 1:
         raise PreconditionError("bernstein_check needs n >= 1")
     xs = grid.xs()
+    rhos, coefs = _boas_blocks(m.T, n)
+    _check_shifts(xs, rhos)  # before any profile call, which could overflow first
     den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
     if den == 0.0:
         raise DegenerateInputError("member vanishes on the whole grid")
-    total, _ = _block_sum(lambda x: m.weighted_profile(x, theta), xs,
-                          *_boas_blocks(m.T, n))
+    total, _ = _block_sum(lambda x: m.weighted_profile(x, theta), xs, rhos, coefs)
     num = float(np.max(np.abs(4.0 * m.T / math.pi ** 2 * total)))
     return num / den
 

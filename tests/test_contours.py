@@ -2,9 +2,14 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import integrate, special
 
 from mellin_polar import (
     ArcSegment,
@@ -71,7 +76,7 @@ class TestLineIntegral:
 
     def test_orientation_antisymmetry_exact_single_pass(self):
         gamma = LogRectangle(-0.7, 0.4, -0.6, 0.8).boundary()
-        q = QuadratureSpec(nodes_per_segment=24, tol=1.0)
+        q = QuadratureSpec(tol=1.0)
         f = make_mellin_sine(0.5, 2.0).f
         forward = line_integral(f, gamma, q)
         backward = line_integral(f, gamma.reversed(), q)
@@ -94,18 +99,6 @@ class TestLineIntegral:
         split = Curve([LineSegment(a, mid), LineSegment(mid, b)] + rest)
         f = make_mellin_sine(0.0, 1.0).f
         assert abs(line_integral(f, whole) - line_integral(f, split)) < 1e-12
-
-    def test_spectral_convergence_in_node_count(self):
-        # doubling the Gauss-Legendre order shrinks the zero-integral defect
-        # by far more than 4x until the rounding floor
-        gamma = LogRectangle(-0.8, 0.8, -0.8, 0.8).boundary()
-        f = make_mellin_sine(0.0, 2.0).f
-        defects = []
-        for nodes in (6, 12, 24):
-            q = QuadratureSpec(nodes_per_segment=nodes, tol=1.0)
-            defects.append(abs(line_integral(f, gamma, q)))
-        for lo, hi in zip(defects[1:], defects[:-1]):
-            assert lo <= hi / 4.0 or lo < 1e-13
 
     def test_tolerance_failure_carries_best_estimate(self):
         # integrand with a near-singularity and a tolerance no pass can meet
@@ -414,11 +407,188 @@ class TestGeometry:
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(PreconditionError):
-            QuadratureSpec(nodes_per_segment=2)
-        with pytest.raises(PreconditionError):
             QuadratureSpec(tol=0.0)
 
     def test_theta_span(self):
         lo, hi = LogRectangle(-1.0, 1.0, -0.25, 0.75).boundary().theta_span()
         assert lo == pytest.approx(-0.25)
         assert hi == pytest.approx(0.75)
+
+
+# ---------------------------------------------------------------------------
+# the one Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+class TestGaussLegendreRule:
+    def test_rule_is_scipys_16_point_rule_symmetrized(self):
+        x, w = special.roots_legendre(16)
+        assert np.array_equal(contours._GL_NODES, 0.5 * (x - x[::-1]))
+        assert np.array_equal(contours._GL_WEIGHTS, 0.5 * (w + w[::-1]))
+        assert np.allclose(contours._GL_NODES, x, rtol=0.0, atol=1e-15)
+        assert np.array_equal(contours._GL_NODES, -contours._GL_NODES[::-1])
+        assert np.array_equal(contours._GL_WEIGHTS, contours._GL_WEIGHTS[::-1])
+
+    def test_import_does_not_load_scipy_linalg(self):
+        # roots_legendre pulls in scipy.linalg, about 7 MB of resident memory
+        code = "import sys, mellin_polar; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("k", range(33))
+    def test_one_pass_integrates_monomials_to_rounding(self, k):
+        # exact through degree 2*16 - 1 = 31 up to the rounding of the tabulated
+        # nodes and weights (about 4e-15 here); degree 32 is the first miss
+        got = contours._gl_pass(lambda u: u ** k, -1.0, 1.0)
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        if k <= 31:
+            assert abs(got - want) <= 1e-14
+        else:
+            assert abs(got - want) > 1e-12
+
+
+# ---------------------------------------------------------------------------
+# enclosure: the exact winding number
+# ---------------------------------------------------------------------------
+
+def _winding(gamma, zeta0):
+    return math.fsum(seg.turning(zeta0) for seg in gamma.segments) / (2.0 * math.pi)
+
+
+def _encloses(gamma, p0):
+    try:
+        contours._require_interior(gamma, p0)
+    except PreconditionError as exc:
+        assert "interior" in str(exc)
+        return False
+    return True
+
+
+def _quadrature_winding(gamma, zeta0):
+    """(1/2 pi i) oint dzeta/(zeta - zeta0) by scipy's adaptive quadrature."""
+    total = 0.0
+    for seg in gamma.segments:
+        def integrand(u, seg=seg):
+            return complex(seg.velocity(u) / (seg.chart(u) - zeta0))
+        total += integrate.quad(lambda u: integrand(u).imag, -0.5, 0.5, limit=200)[0]
+    return total / (2.0 * math.pi)
+
+
+_coord = st.floats(-3.0, 3.0)
+_size = st.floats(0.01, 3.0)
+
+
+class TestEnclosure:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(x0=_coord, y0=_coord, width=_size, height=_size, x=_coord, y=_coord,
+           forward=st.booleans())
+    def test_rectangles_against_membership(self, x0, y0, width, height, x, y, forward):
+        rect = LogRectangle(x0, x0 + width, y0, y0 + height)
+        p0 = PolarPoint(math.exp(x), y)
+        zeta = p0.log_z
+        gaps = (zeta.real - rect.log_r_min, rect.log_r_max - zeta.real,
+                zeta.imag - rect.theta_min, rect.theta_max - zeta.imag)
+        assume(min(abs(g) for g in gaps) > 1e-9 or 0.0 in gaps)  # no rounding ties
+        inside = min(gaps) > 0.0
+        gamma = rect.boundary() if forward else rect.boundary().reversed()
+        assert _encloses(gamma, p0) == (inside and forward)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(cx=_coord, cy=_coord, radius=_size, x=_coord, y=_coord, forward=st.booleans())
+    def test_circles_against_membership(self, cx, cy, radius, x, y, forward):
+        center = PolarPoint(math.exp(cx), cy)
+        p0 = PolarPoint(math.exp(x), y)
+        dist = abs(p0.log_z - center.log_z)
+        assume(abs(dist - radius) > 1e-9 * radius)  # no rounding ties
+        gamma = log_circle(center, radius)
+        gamma = gamma if forward else gamma.reversed()
+        assert _encloses(gamma, p0) == (dist < radius and forward)
+
+    @pytest.mark.parametrize("span", [3.7, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi,
+                                      7.0 * math.pi, -5.0])
+    def test_long_arcs_against_quadrature_winding(self, span):
+        center, radius, phi0 = complex(0.3, -0.2), 1.0, 0.4
+        arc = ArcSegment(center, radius, phi0, phi0 + span)
+        chord = LineSegment(arc.end, arc.start)
+        gamma = Curve([arc, chord]) if abs(arc.end - arc.start) > 1e-12 else Curve([arc])
+        checked = 0
+        for x, th in lattice_points(60, (-1.4, 1.4), (-1.4, 1.4)):
+            zeta0 = center + complex(x, th)
+            dist = abs(abs(zeta0 - center) - radius)
+            if len(gamma.segments) == 2:
+                a, b = chord.zeta0 - zeta0, chord.zeta1 - zeta0
+                dist = min(dist, abs((a.conjugate() * b).imag) / abs(b - a))
+            if dist < 0.05:
+                continue
+            want = _quadrature_winding(gamma, zeta0)
+            got = _winding(gamma, zeta0)
+            assert abs(got - round(want)) < 1e-9 and abs(want - round(want)) < 1e-6
+            p0 = PolarPoint(math.exp(zeta0.real), zeta0.imag)
+            assert _encloses(gamma, p0) == (round(want) == 1)
+            checked += 1
+        assert checked > 30
+
+    @pytest.mark.parametrize("gamma", [
+        UNIT_RECT.boundary().reversed(),
+        log_circle(PolarPoint(1.0, 0.0), 0.5).reversed(),
+    ])
+    def test_reversed_curves_are_refused(self, gamma):
+        f = make_power(1.0)
+        with pytest.raises(PreconditionError, match="interior"):
+            cauchy_value(f, gamma, PolarPoint(1.0, 0.0))
+        with pytest.raises(PreconditionError, match="interior"):
+            cauchy_derivative(f, gamma, PolarPoint(1.0, 0.0), 0.5, 1)
+
+    _TRIANGLE = Curve([LineSegment(complex(-1.0, -1.0), complex(1.0, -1.0)),
+                       LineSegment(complex(1.0, -1.0), complex(-1.0, 1.0)),
+                       LineSegment(complex(-1.0, 1.0), complex(-1.0, -1.0))])
+    _TWO_HALVES = Curve([ArcSegment(0.0, 0.5, 0.0, math.pi),
+                         ArcSegment(0.0, 0.5, math.pi, 2.0 * math.pi)])
+
+    @pytest.mark.parametrize("gamma, p0", [
+        (UNIT_RECT.boundary(), PolarPoint(1.0, 1.0)),                 # on an edge
+        (UNIT_RECT.boundary(), PolarPoint(math.e, -1.0)),             # on a corner
+        (log_circle(PolarPoint(2.0, 0.0), 0.5), PolarPoint(2.0, 0.5)),  # where arcs meet
+        (log_circle(PolarPoint(1.0, 0.0), 0.5), PolarPoint(1.0, -0.5)),
+        (_TRIANGLE, PolarPoint(1.0, -1.0)),                           # hand-built: edge
+        (_TRIANGLE, PolarPoint(1.0, 0.0)),                            # slanted edge
+        (_TRIANGLE, PolarPoint(math.e, -1.0)),                        # corner
+        (_TWO_HALVES, PolarPoint(1.0, 0.5)),                          # inside an arc
+        (_TWO_HALVES, PolarPoint(1.0, -0.5)),
+    ])
+    def test_points_on_the_curve_are_refused_without_warning(self, gamma, p0):
+        # pytest turns any warning into an error, so none escapes here
+        assert math.isnan(_winding(gamma, p0.log_z))
+        with pytest.raises(PreconditionError, match="interior"):
+            cauchy_value(make_power(1.0), gamma, p0)
+        with pytest.raises(PreconditionError, match="interior"):
+            cauchy_derivative(make_power(1.0), gamma, p0, 0.0, 2)
+
+    def test_center_on_the_chord_of_a_half_circle_is_enclosed(self):
+        assert _winding(self._TWO_HALVES, 0j) == pytest.approx(1.0, abs=1e-15)
+        assert _encloses(self._TWO_HALVES, PolarPoint(1.0, 0.0))
+
+    def test_hand_built_curve_decides_without_quadrature(self, monkeypatch):
+        calls, passes = [], []
+        gl_pass = contours._gl_pass
+
+        def counted_pass(*args):
+            passes.append(1)
+            return gl_pass(*args)
+
+        def log_fn(x, th):
+            calls.append(1)
+            return make_power(1.0).log_fn(x, th)
+
+        monkeypatch.setattr(contours, "_gl_pass", counted_pass)
+        f = PolarFunction(log_fn)
+        hand_built = Curve(list(UNIT_RECT.boundary().segments))
+        with pytest.raises(PreconditionError, match="interior"):
+            cauchy_value(f, hand_built, PolarPoint(math.e ** 2, 0.0))
+        assert calls == [] and passes == []
+        p0 = PolarPoint(1.2, 0.3)
+        got = cauchy_value(f, hand_built, p0)
+        n_calls, n_passes = len(calls), len(passes)
+        assert n_calls == n_passes > 0  # every pass is one integrand call
+        assert cauchy_value(f, UNIT_RECT.boundary(), p0) == got
+        assert len(passes) == 2 * n_passes

@@ -253,6 +253,37 @@ class TestHigherMellinDerivative:
         got = higher_mellin_derivative(make_lin(c), p, c, k)
         assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
+    @pytest.mark.parametrize("route", ["chain", "fd"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_puncture_refused_at_every_order(self, route, k):
+        power = make_power(1.0)
+        punctured = PolarFunction(power.log_fn, domain=Domain(excluded=(PolarPoint(1.0, 0.0),)),
+                                  theta_chain=power.theta_chain if route == "chain" else None)
+        with pytest.raises(DomainError):
+            higher_mellin_derivative(punctured, PolarPoint(1.0, 0.0), 0.5, k)
+        if k == 1:
+            with pytest.raises(DomainError):
+                mellin_derivative(punctured, PolarPoint(1.0, 0.0), 0.5)
+
+    def test_fd_route_needs_the_margin_its_nested_steps_reach(self):
+        # steps 1e-3 then 3e-3: order 1 reaches 1e-3 from the point, order 2 4e-3
+        power = make_power(1.0)
+        dom = Domain(excluded=(PolarPoint(1.0, 0.0),))
+        p = PolarPoint(math.exp(2e-3), 0.0)
+        bare = PolarFunction(power.log_fn, domain=dom)
+        assert abs(higher_mellin_derivative(bare, p, 0.5, 1) - 1.5 * p.z) < 1e-8
+        with pytest.raises(DomainError, match="margin 0.004"):
+            higher_mellin_derivative(bare, p, 0.5, 2)
+        chained = PolarFunction(power.log_fn, domain=dom, theta_chain=power.theta_chain)
+        assert higher_mellin_derivative(chained, p, 0.5, 2) == pytest.approx(2.25 * p.z)
+
+    def test_first_order_fd_route_is_the_one_step_formula(self):
+        bare = PolarFunction(lambda x, th: np.exp(2.0 * (np.asarray(x) + 1j * np.asarray(th))))
+        for x, th in lattice_points(5):
+            p = PolarPoint(math.exp(x), th)
+            one_step = p.z * polar_derivative_fd(bare, p) + 0.7 * bare(p)
+            assert mellin_derivative(bare, p, 0.7) == one_step  # bitwise
+
     def test_nested_fd_route_and_conditioning_warning(self):
         bare = PolarFunction(lambda x, th: np.exp(1.5 * (np.asarray(x) + 1j * np.asarray(th))))
         p = PolarPoint(1.0, 0.0)

@@ -196,6 +196,7 @@ class TestTruncationBounds:
         lambda: valiron_derivative(make_mellin_sine(0.0, 1e308), PolarPoint(2.0, 0.0), 4),
         lambda: SampleSet.from_member(make_mellin_sine(0.0, 1e-320), 4),
         lambda: bernstein_check(make_mellin_sine(0.0, 1e20), n=4),
+        lambda: bernstein_check(make_mellin_sine(0.0, 1e308), n=4),
         lambda: fourier_valiron_derivative(lambda t: 1.0, 1.0, 1e300, 4),
     ])
     def test_shifts_that_are_infinite_or_do_not_move_x_are_refused(self, call):
