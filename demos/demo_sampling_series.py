@@ -47,12 +47,12 @@ print("== reconstructing r^c f(r, 0) from ring samples ==")
 n = 128
 samples = SampleSet.from_member(member, n)
 print(f"  sample set: f(1,0), its weighted derivative, and {2 * n} ring samples")
-print(f"  {'r':>6s} {'reconstructed':>16s} {'true':>16s} {'error':>10s}")
+print(f"  {'r':>6s} {'reconstructed':>16s} {'true':>16s} {'error':>10s} {'bound':>10s}")
 for r in (0.6, 1.0, 1.37, 2.0):
     rep = valiron_reconstruct(samples, r, n)
     true = complex(member.weighted_profile(math.log(r), 0.0))
     print(f"  {r:6.2f} {rep.value.real:16.10f} {true.real:16.10f}"
-          f" {abs(rep.value - true):10.2e}")
+          f" {abs(rep.value - true):10.2e} {rep.apriori_bound:10.2e}")
 
 print()
 print("== the same reconstruction through the lin kernel ==")

@@ -56,6 +56,8 @@ _DEFAULT_N = {
     "fourier-demo": (8, 32, 128),
 }
 
+_ROUNDING = 1e-12  # rounding allowance on top of the reconstruction bound, times C_f
+
 
 class UsageError(ValueError):
     """Invalid configuration; carries the offending field name."""
@@ -192,8 +194,8 @@ def _run_reconstruct(cfg: ExperimentConfig) -> list[ResultRow]:
             err = abs(rep.value - oracle)
             rows.append(ResultRow(
                 experiment=cfg.experiment, inputs=f"n={n} r={_fmt(float(r))}",
-                value=rep.value, oracle=oracle, apriori_bound=None,
-                passed=err <= max(1e-3, 10.0 * rep.empirical_tail),
+                value=rep.value, oracle=oracle, apriori_bound=rep.apriori_bound,
+                passed=err <= rep.apriori_bound + _ROUNDING * samples.growth_constant,
                 wall_time=time.perf_counter() - start))
     return rows
 
@@ -262,9 +264,9 @@ def _run_fourier_demo(cfg: ExperimentConfig) -> list[ResultRow]:
     for n in cfg.n_list:
         start = time.perf_counter()
         val = fourier_valiron_derivative(g, w, x, n)
-        bound = 2.0 * w / (math.pi * (8.0 * n * n - 2.0))  # |g| <= 1 tail gauge
+        bound = 2.0 * w / (math.pi * (8.0 * n * n - 2.0))  # truncation bound for |g| <= 1
         if not math.isfinite(bound):
-            raise DomainError(f"fourier-demo: the tail gauge at w={_fmt(w)} overflows")
+            raise DomainError(f"fourier-demo: the truncation bound at w={_fmt(w)} overflows")
         rows.append(ResultRow(
             experiment=cfg.experiment, inputs=f"n={n}", value=val, oracle=oracle,
             apriori_bound=bound, passed=abs(val - oracle) <= bound,

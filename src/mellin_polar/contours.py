@@ -336,11 +336,15 @@ def _contour_quadrature(fn_chart, gamma: Curve, q: QuadratureSpec) -> complex:
     return total
 
 
-def _require_interior(gamma: Curve, p0: PolarPoint) -> None:
-    """Refuse p0 unless gamma winds once positively around it (exact angle sum)."""
+def _winding(gamma: Curve, p0: PolarPoint) -> float:
+    """Winding number of gamma around p0 (exact angle sum); NaN for p0 on gamma."""
     zeta0 = p0.log_z
-    winding = math.fsum(seg.turning(zeta0) for seg in gamma.segments) / (2.0 * math.pi)
-    if not abs(winding - 1.0) < 0.5:  # also NaN: p0 on the curve
+    return math.fsum(seg.turning(zeta0) for seg in gamma.segments) / (2.0 * math.pi)
+
+
+def _require_interior(gamma: Curve, p0: PolarPoint) -> None:
+    """Refuse p0 unless gamma winds once positively around it."""
+    if not abs(_winding(gamma, p0) - 1.0) < 0.5:  # also NaN: p0 on the curve
         raise PreconditionError("the target point is not interior to the curve "
                                 "(wound once, positively)")
 
@@ -460,12 +464,21 @@ def residue_theorem_check(F: PolarFunction, gamma: Curve,
                           q: QuadratureSpec = QuadratureSpec()) -> float:
     """Defect |oint (re^{i th})^{c-1} F e^{i th}(dr + ir dth) - 2 pi i sum res_c|.
 
-    Near zero certifies the residue bookkeeping on valid inputs (closed
-    positively oriented curve bounding a convex chart region, all listed
-    poles interior, none on gamma).
+    Near zero certifies the residue bookkeeping.  Refused with PreconditionError
+    unless gamma is closed, winds once positively around every listed pole, and
+    neither meets nor winds around a declared singularity of F left unlisted.
     """
     if not gamma.closed:
         raise PreconditionError("residue_theorem_check needs a closed curve")
+    poles = tuple(poles)
+    for spec in poles:
+        _require_interior(gamma, spec.location)
+    listed = [spec.location.log_z for spec in poles]
+    for s in F.domain.excluded:  # an unlisted one must be off gamma (NaN) and not wound around
+        z = s.log_z
+        if all(abs(z - w) > 1e-14 for w in listed) and not abs(_winding(gamma, s)) < 0.5:
+            raise PreconditionError("the curve passes through or winds around a declared "
+                                    "singularity that is not a listed pole")
     lhs = _weighted_integral(F, gamma, c, q)
     res_re, res_im = [], []
     for spec in poles:

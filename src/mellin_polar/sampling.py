@@ -18,9 +18,15 @@ comparison of the coefficient tails.  The faster k^{-3} coefficient decay is
 what the Valiron route buys over the k^{-2} of the Boas route.
 
 The Valiron sampling theorem itself reconstructs r^c f(r, 0) from the ring
-samples f(e^{k pi/T}, 0) together with f(1, 0) and (Theta_c f)(1, 0); its
-lin-function forms (the Mellin analogue of sinc interpolation) are
-implemented as an independent route and must agree to rounding.
+samples f(e^{k pi/T}, 0) together with f(1, 0) and (Theta_c f)(1, 0).  For
+x = T log r and y = |x|/pi < n, truncating after n symmetric blocks leaves
+
+    |E_recon(n)| <= C_f |sin x| (1/pi) log((n + y)/(n - y)):
+
+the omitted terms, paired over +/-k, total at most C_f |sin x| (2y/pi)
+sum_{k>n} 1/(k^2 - y^2), and for k > y that decreasing sum is at most its
+integral from n.  Its lin-function forms (the Mellin analogue of sinc
+interpolation) are an independent route and must agree to rounding.
 
 Summation is deterministic: both series, the Bernstein numerator and the
 classical-line analogue add their symmetric blocks from the smallest |k|
@@ -36,7 +42,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import (
     DegenerateInputError,
@@ -106,20 +111,12 @@ def _div_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """A truncated series value with its term count and error information.
-
-    ``apriori_bound`` is the closed-form bound above when one exists for the
-    formula (None otherwise); ``empirical_tail`` is a heuristic tail gauge
-    (magnitude of the last symmetric block, for the reconstruction formula
-    augmented by a closed-form estimate of the omitted blocks) and is *not*
-    certified.
-    """
+    """A truncated series value, its term count and the closed-form bound
+    above on its truncation error (finite for every series here)."""
 
     value: complex
     n_terms: int
-    apriori_bound: float | None
-    empirical_tail: float
-    formula_id: str
+    apriori_bound: float
 
 
 @dataclass(frozen=True)
@@ -129,18 +126,21 @@ class SampleSet:
     ``ring_samples`` maps k != 0 to the raw sample f(e^{k pi/T}, 0) over a
     symmetric index range; ``weighted_ring`` holds e^{k pi c/T} f(e^{k pi/T}, 0),
     which is the bounded quantity the series actually use (|.| <= C_f for a
-    member).  Built from a member via :meth:`from_member`, which evaluates
-    the weighted samples stably.
+    member, with ``growth_constant`` = C_f finite and positive).  Built from a
+    member via :meth:`from_member`, which evaluates the weighted samples stably.
     """
 
     c: float
     T: float
+    growth_constant: float
     center_value: complex
     center_derivative: complex
     ring_samples: Mapping[int, complex]
     weighted_ring: Mapping[int, complex]
 
     def __post_init__(self):
+        if not 0.0 < self.growth_constant < math.inf:
+            raise PreconditionError("growth_constant must be finite and positive")
         ks = sorted(self.ring_samples)
         n = max(ks) if ks else 0
         expected = [k for k in range(-n, n + 1) if k != 0]
@@ -178,7 +178,7 @@ class SampleSet:
             raw = weighted * np.exp(-m.c * xs)  # may over/underflow; see valiron_lin_form
         center = PolarPoint(1.0, 0.0)
         return cls(
-            c=m.c, T=m.T,
+            c=m.c, T=m.T, growth_constant=m.growth_constant,
             center_value=m.value(center),
             center_derivative=m.theta_c(center),
             ring_samples={k: complex(raw[i]) for i, k in enumerate(ks)},
@@ -199,15 +199,13 @@ def _check_shifts(x, rhos: Sequence[float]) -> None:
 def _block_sum(profile: Callable, x, rhos: Sequence[float], coefs: Sequence[float]):
     """Compensated sum, in table order, of coefs[j] (profile(x + rhos[j]) - profile(x - rhos[j])).
 
-    Elementwise for an array x.  Returns the total and the last block.
+    Elementwise for an array x.
     """
     _check_shifts(x, rhos)
     acc = _Kahan()
-    block = 0.0 + 0j
     for rho, coef in zip(rhos, coefs):
-        block = coef * (profile(x + rho) - profile(x - rho))
-        acc.add(block)
-    return acc.total, block
+        acc.add(coef * (profile(x + rho) - profile(x - rho)))
+    return acc.total
 
 
 def _boas_blocks(T: float, n: int) -> tuple[list[float], list[float]]:
@@ -217,14 +215,14 @@ def _boas_blocks(T: float, n: int) -> tuple[list[float], list[float]]:
 
 
 def _valiron_sum(profile: Callable, x, T: float, n: int):
-    """The sum of fourier_valiron_derivative with w = T, and its last block times T/pi."""
+    """The sum of fourier_valiron_derivative with w = T."""
     half = math.pi / (2.0 * T)
     _check_shifts(x, (half,))
     central = 0.5 * T * (profile(x + half) - profile(x - half))
-    total, last = _block_sum(
+    total = _block_sum(
         profile, x, [k * math.pi / T for k in range(1, n + 1)],
         [(-1.0) ** k / (k * (4.0 * k * k - 1.0)) for k in range(1, n + 1)])
-    return central + (T / math.pi) * total, (T / math.pi) * last
+    return central + (T / math.pi) * total
 
 
 def _series_point(m: MellinBernsteinMember, p: PolarPoint) -> tuple[float, float, float]:
@@ -269,12 +267,10 @@ def boas_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> Truncati
     bound = 4.0 * factor / (math.pi ** 2 * (2.0 * n - 1.0))
     if not (math.isfinite(scale) and math.isfinite(bound)):
         raise DomainError("the a-priori truncation bound overflows at this point")
-    total, last = _block_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
-                             *_boas_blocks(m.T, n))
+    total = _block_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
+                       *_boas_blocks(m.T, n))
     return TruncationReport(value=scale * unweight * total, n_terms=2 * n,
-                            apriori_bound=bound,
-                            empirical_tail=abs(scale * unweight * last),
-                            formula_id="boas")
+                            apriori_bound=bound)
 
 
 def valiron_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> TruncationReport:
@@ -288,12 +284,9 @@ def valiron_derivative(m: MellinBernsteinMember, p: PolarPoint, n: int) -> Trunc
     if n < 2:
         raise PreconditionError("valiron_derivative needs n >= 2")
     x0, unweight, factor = _series_point(m, p)
-    value, last = _valiron_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0,
-                               m.T, n - 1)
+    value = _valiron_sum(lambda x: complex(m.weighted_profile(x, p.theta)), x0, m.T, n - 1)
     return TruncationReport(value=unweight * value, n_terms=2 * n,
-                            apriori_bound=factor / (math.pi * (4.0 * (n - 1.0) ** 2 - 1.0)),
-                            empirical_tail=abs(unweight * last),
-                            formula_id="valiron_diff")
+                            apriori_bound=factor / (math.pi * (4.0 * (n - 1.0) ** 2 - 1.0)))
 
 
 def fourier_valiron_derivative(g: Callable[[float], complex], w: float, x: float,
@@ -308,7 +301,7 @@ def fourier_valiron_derivative(g: Callable[[float], complex], w: float, x: float
         raise PreconditionError("fourier_valiron_derivative needs n >= 1")
     if not (w > 0.0):
         raise PreconditionError("bandwidth w must be positive")
-    return _valiron_sum(lambda t: complex(g(t)), x, w, n)[0]
+    return _valiron_sum(lambda t: complex(g(t)), x, w, n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +321,10 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     cancellation on the lattice; at most one lattice term falls inside it.
     The 2n lattice terms are formed as one array and summed in the order
     1, -1, 2, -2, ...: each symmetric block compensated on its own, the
-    blocks then compensated in turn.  No a-priori truncation bound is
-    attached; the ``empirical_tail`` adds the last symmetric block to the
-    closed-form gauge of the omitted blocks and is not certified.
+    blocks then compensated in turn.  The report carries the module's
+    truncation bound, which needs y = |T log r|/pi < n: larger y is refused.
+    Rounding of k pi adds about C_f k 1e-16/|x - k pi| near a lattice
+    abscissa, beyond the bound within about 1e-7 of one.
     """
     if not (r > 0.0):
         raise PreconditionError("reconstruction radius must be positive")
@@ -340,7 +334,14 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
         raise PreconditionError(f"sample set holds {s.n_ring} ring pairs, need {n}")
     T = s.T
     x = T * math.log(r)
+    y = abs(x) / math.pi
+    if not y < n:
+        raise PreconditionError(
+            f"the truncation bound needs |T log r|/pi < n = {n}; here it is {y:.6g}")
     sin_x = math.sin(x)
+    bound = s.growth_constant * abs(sin_x) * math.log1p(2.0 * y / (n - y)) / math.pi
+    if not math.isfinite(bound):
+        raise DomainError("the a-priori truncation bound overflows at this radius")
 
     acc = _Kahan()
     acc.add(sin_x * s.center_derivative / T)
@@ -370,53 +371,7 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     second = terms[1::2] + (first - (first_total - zero))
     blocks = first_total + second
     acc.extend(blocks.tolist())
-
-    scale_max = float(np.max(np.abs(weighted)))
-    tail = abs(complex(blocks[-1])) + _reconstruct_tail_estimate(x, n, scale_max)
-    return TruncationReport(value=acc.total, n_terms=2 * n + 2, apriori_bound=None,
-                            empirical_tail=tail, formula_id="valiron_recon")
-
-
-# Hurwitz-zeta terms of the small-|x| tail series; (1/4)^(2*16) < 1e-19
-_TAIL_SERIES_TERMS = 16
-
-
-def _reconstruct_tail_estimate(x: float, n: int, scale: float) -> float:
-    """Closed-form gauge of the omitted |k| > n blocks.
-
-    |x| scale sum_{|k|>n} 1/|k pi (k pi - x)|, that is |x| scale S/pi^2 with
-    y = |x|/pi and S = sum_{k>n} 1/(k|k - y|) + 1/(k(k + y)).  Split into
-    partial fractions and summed through the digamma series psi(z) =
-    -gamma + sum_{k>=0} (1/(k+1) - 1/(k+z)) (DLMF 5.7.6), with
-    m = max(n, floor(y)):
-
-        y S = psi(n+1+y) - psi(m+1-y)
-              + 2(psi(m+1) - psi(n+1)) + psi(y-n) - psi(y-m)
-
-    where the second line, the terms n < k <= m below the pole, is absent
-    when m = n.  The cost does not grow with |x|.  For y <= (n+1)/4 the
-    first line cancels; there S = 2 sum_j y^{2j} zeta(2j+2, n+1) (Hurwitz
-    zeta) is used instead.  On a lattice abscissa x = k pi with |k| > n the
-    gauge is +inf.  Heuristic, not certified.
-    """
-    if scale == 0.0 or x == 0.0:
-        return 0.0
-    ax = abs(x)
-    y = ax / math.pi
-    k_near = round(y)  # (k pi)/pi is not always k (k = 11, 13, ...), so test the product
-    if k_near > n and k_near * math.pi == ax:
-        return math.inf
-    if y <= (n + 1) / 4.0:
-        j = np.arange(_TAIL_SERIES_TERMS - 1, -1, -1)  # smallest terms first
-        s = 2.0 * float(np.sum(y ** (2 * j) * special.zeta(2.0 * j + 2.0, n + 1.0)))
-    else:
-        psi = special.digamma
-        m = max(n, math.floor(y))
-        ys = float(psi(n + 1 + y) - psi(m + 1 - y))
-        if m > n:
-            ys += float(2.0 * (psi(m + 1.0) - psi(n + 1.0)) + psi(y - n) - psi(y - m))
-        s = ys / y
-    return ax * scale * s / math.pi ** 2
+    return TruncationReport(value=acc.total, n_terms=2 * n + 2, apriori_bound=bound)
 
 
 def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") -> complex:
@@ -503,7 +458,7 @@ def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
     den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
     if den == 0.0:
         raise DegenerateInputError("member vanishes on the whole grid")
-    total, _ = _block_sum(lambda x: m.weighted_profile(x, theta), xs, rhos, coefs)
+    total = _block_sum(lambda x: m.weighted_profile(x, theta), xs, rhos, coefs)
     num = float(np.max(np.abs(4.0 * m.T / math.pi ** 2 * total)))
     return num / den
 

@@ -221,7 +221,7 @@ class TestCommandLine:
         ["valiron-convergence", "--point", "1,355", "--T", "2"],
         ["boas-convergence", "--point", "1e-300,0", "--c", "3"],  # the oracle's r^{-c}
         ["valiron-convergence", "--point", "1e300,0", "--c=-3"],
-        ["fourier-demo", "--w", "1e308"],  # the tail gauge
+        ["fourier-demo", "--w", "1e308"],  # the truncation bound
     ])
     def test_overflowing_bound_is_an_error_not_a_traceback(self, args):
         proc = run_cli(["run", *args])
@@ -244,6 +244,9 @@ class TestCommandLine:
         (["reconstruct", "--function", "theta-shifted-sine", "--alpha", "800"], "double range"),
         (["boas-convergence", "--function", "translated-sine", "--t-shift", "1e300", "--c", "2"],
          "double range"),
+        (["reconstruct", "--n", "1", "--r-grid", "0.01:100:5"], "truncation bound"),  # y >= n
+        (["reconstruct", "--function", "theta-shifted-sine", "--T", "2", "--alpha", "354.6",
+          "--r-grid", "1e174:1e175:3"], "bound overflows"),  # C_f = e^{709.2}
     ])
     def test_refused_run_is_an_error_without_traceback_or_nan(self, args, message, tmp_path,
                                                               capsys):

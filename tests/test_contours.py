@@ -347,6 +347,32 @@ class TestResidueTheorem:
         defect = residue_theorem_check(F, gamma, poles, 0.0)
         assert defect <= 1e-9
 
+    @pytest.mark.parametrize("case, message", [
+        ("reversed", "interior"),
+        ("poles-of-a-wider-square", "interior"),  # two of them lie outside the curve
+        ("pole-dropped", "declared singularity"),
+    ])
+    def test_misuse_is_refused(self, case, message):
+        sine = make_mellin_sine(0.0, 1.0).f
+        F, gamma, poles = boas_kernel(sine, T=1.0, n_rect=1)
+        if case == "reversed":
+            gamma = gamma.reversed()
+        elif case == "poles-of-a-wider-square":
+            poles = boas_kernel(sine, T=1.0, n_rect=2)[2]
+        else:
+            poles = poles[:-1]
+        with pytest.raises(PreconditionError, match=message):
+            residue_theorem_check(F, gamma, poles, 0.0)
+
+    def test_declared_singularity_on_the_curve_is_refused(self):
+        F, _, poles = boas_kernel(make_mellin_sine(0.0, 1.0).f, T=1.0, n_rect=1)
+        # the right edge runs through the simple pole at log r = pi/2; the one
+        # at -pi/2 lies outside, so only the order-2 pole at (1, 0) is listed
+        edge = poles[2].location.log_z.real
+        gamma = LogRectangle(-1.0, edge, -1.0, 1.0).boundary()
+        with pytest.raises(PreconditionError, match="declared singularity"):
+            residue_theorem_check(F, gamma, poles[:1], 0.0)
+
     def test_wide_rectangle_collects_branch_copies(self):
         # tall curve around (r0, theta0) also encloses (r0, theta0 +/- 2 pi);
         # the weighted integral with c = 1 must pick up all three values

@@ -1,4 +1,5 @@
-"""The contour CSVs stay byte-identical to the checked-in golden files.
+"""The contour and reconstruction CSVs stay byte-identical to the checked-in
+golden files.
 
 A change that moves a row regenerates the file with
 ``mellin-polar run <experiment> --function <function> --out
@@ -12,11 +13,13 @@ import pytest
 from mellin_polar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-FUNCTIONS = ("mellin-sine", "translated-sine", "theta-shifted-sine", "power", "lin")
+SINES = ("mellin-sine", "translated-sine", "theta-shifted-sine")
+RUNS = ([(experiment, function) for experiment in ("contour-cauchy", "residue-defect")
+         for function in SINES + ("power", "lin")]
+        + [("reconstruct", function) for function in SINES + ("sine-blend",)])
 
 
-@pytest.mark.parametrize("function", FUNCTIONS)
-@pytest.mark.parametrize("experiment", ["contour-cauchy", "residue-defect"])
+@pytest.mark.parametrize("experiment, function", RUNS)
 def test_csv_matches_golden(experiment, function, tmp_path, capsys):
     out = tmp_path / "run.csv"
     assert main(["run", experiment, "--function", function, "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mellin_polar import (
     DegenerateInputError,
@@ -257,22 +258,50 @@ class TestValironReconstruction:
             # O(1/n) empirical envelope
             assert errs[128] <= 2.5 * errs[256]
 
-    def test_tail_estimate_dominates_true_error(self):
+    def test_truncation_bound_dominates_true_error(self):
         m = translated_sine(0.5, 2.0)
         n = 64
         s = SampleSet.from_member(m, n)
+        assert s.growth_constant == m.growth_constant
         for r in (0.7, 1.3, 1.9):
             rep = valiron_reconstruct(s, r, n)
             oracle = complex(m.weighted_profile(math.log(r), 0.0))
-            assert abs(rep.value - oracle) <= rep.empirical_tail
-            assert rep.apriori_bound is None
+            assert 0.0 < rep.apriori_bound < math.inf
+            assert abs(rep.value - oracle) <= rep.apriori_bound + 1e-12 * m.growth_constant
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(kind=st.sampled_from(["sine", "translated", "theta-shifted", "blend"]),
+           c=st.floats(-1.0, 1.0), T=st.floats(0.25, 4.0), log_r=st.floats(-8.0, 8.0),
+           n=st.integers(1, 40))
+    def test_truncation_bound_is_sound(self, kind, c, T, log_r, n):
+        m = {"sine": lambda: make_mellin_sine(c, T),
+             "translated": lambda: translated_sine(c, T),
+             "theta-shifted": lambda: theta_shift(make_mellin_sine(c, T), 0.35),
+             "blend": lambda: mellin_translate(make_sine_blend(c, T), math.exp(0.4 / T)),
+             }[kind]()
+        s = SampleSet.from_member(m, n)
+        r = math.exp(log_r)
+        if abs(T * math.log(r)) / math.pi >= n:
+            with pytest.raises(PreconditionError, match="truncation bound"):
+                valiron_reconstruct(s, r, n)
+            return
+        rep = valiron_reconstruct(s, r, n)
+        oracle = complex(m.weighted_profile(math.log(r), 0.0))
+        assert abs(rep.value - oracle) <= rep.apriori_bound + 1e-12 * m.growth_constant
 
     def test_sample_set_validation(self):
         with pytest.raises(PreconditionError, match="symmetric"):
-            SampleSet(c=0.0, T=1.0, center_value=0.0, center_derivative=1.0,
-                      ring_samples={1: 0.1}, weighted_ring={1: 0.1})
+            SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=0.0,
+                      center_derivative=1.0, ring_samples={1: 0.1}, weighted_ring={1: 0.1})
         with pytest.raises(PreconditionError):
             SampleSet.from_member(make_mellin_sine(0.0, 1.0), 0)
+
+    @pytest.mark.parametrize("growth", [0.0, -1.0, math.inf, math.nan])
+    def test_sample_set_refuses_growth_constant(self, growth):
+        with pytest.raises(PreconditionError, match="growth_constant"):
+            SampleSet(c=0.0, T=1.0, growth_constant=growth, center_value=0.0,
+                      center_derivative=1.0, ring_samples={1: 0.1, -1: 0.1},
+                      weighted_ring={1: 0.1, -1: 0.1})
 
     def test_truncation_beyond_samples_rejected(self):
         s = SampleSet.from_member(make_mellin_sine(0.0, 1.0), 4)
