@@ -39,8 +39,6 @@ from .core import (
 from .functions import (
     LogGrid,
     MellinBernsteinMember,
-    NormEstimate,
-    central_mellin_difference,
     make_lin,
     make_mellin_sine,
     make_power,
@@ -48,9 +46,7 @@ from .functions import (
     mellin_dilate,
     mellin_translate,
     power_member,
-    sup_norm,
     theta_shift,
-    verify_growth_bound,
 )
 from .contours import (
     ArcSegment,

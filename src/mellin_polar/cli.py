@@ -4,6 +4,8 @@ Subcommands: ``run``, ``list-functions``, ``version``.  Experiments echo
 their full configuration into a ``#``-prefixed header, serialize floats in
 shortest round-trip form, and exit nonzero iff any row failed its contract,
 so identical configs produce byte-identical artifacts suitable for diffing.
+A run whose predicted work exceeds one fixed cap is refused as a usage error
+before any evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import cmath
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .contours import (
+    _MAX_PASSES,
     LogRectangle,
     QuadratureSpec,
     boas_kernel,
@@ -28,7 +30,7 @@ from .contours import (
     residue_theorem_check,
 )
 from .core import DomainError, PolarPoint, PreconditionError, ToleranceNotMetError
-from .functions import function_registry
+from .functions import LogGrid, function_registry
 from .sampling import (
     SampleSet,
     bernstein_check,
@@ -41,22 +43,14 @@ from .sampling import (
 
 CSV_SCHEMA = "mellin-polar-csv v2"
 
-EXPERIMENTS = ("boas-convergence", "valiron-convergence", "reconstruct",
-               "contour-cauchy", "residue-defect", "bernstein", "fourier-demo")
-
-# truncation defaults when --n is not given; bernstein's matches the
-# epsilon = 1e-3 slack budget of the ratio contract
-_DEFAULT_N = {
-    "boas-convergence": (2, 4, 8, 16, 32, 64),
-    "valiron-convergence": (2, 4, 8, 16, 32, 64),
-    "reconstruct": (256,),
-    "contour-cauchy": (1,),
-    "residue-defect": (1,),
-    "bernstein": (500,),
-    "fourier-demo": (8, 32, 128),
-}
-
 _ROUNDING = 1e-12  # rounding allowance on top of the reconstruction bound, times C_f
+
+# validate refuses a run whose predicted work (see _Experiment.work) exceeds
+# _WORK_CAP units; a profile call weighs _CALL_WEIGHT points, about its fixed
+# cost against one more array point.  The cap admits a 2045-block Bernstein
+# grid or about 83 000 series blocks.
+_CALL_WEIGHT = 100
+_WORK_CAP = 2 ** 24
 
 
 class UsageError(ValueError):
@@ -82,13 +76,13 @@ class ExperimentConfig:
     w0: float = 0.7
     x: float = 0.0
     out: Optional[str] = None
-    timing: bool = False
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        row = _TABLE.get(self.experiment)
+        if row is None:
             raise UsageError(f"experiment: unknown id {self.experiment!r}")
         if self.n_list is None:
-            self.n_list = _DEFAULT_N[self.experiment]
+            self.n_list = row.default_n
         if not self.n_list:
             raise UsageError("n: at least one value required")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
@@ -103,6 +97,11 @@ class ExperimentConfig:
         lo, hi, count = self.r_grid
         if not (0 < lo < hi) or count < 1:
             raise UsageError("r-grid: need 0 < lo < hi and count >= 1")
+        calls, points, other = row.work(self)
+        units = _CALL_WEIGHT * calls + points + other
+        if units > _WORK_CAP:
+            raise UsageError(f"work: {units} predicted units exceed the cap of {_WORK_CAP}; "
+                             "lower n, the r-grid count or n-rect")
 
     def echo_items(self) -> list[tuple[str, str]]:
         """The ``# config:`` items; written back as a config file they
@@ -121,7 +120,6 @@ class ResultRow:
     oracle: Optional[complex]
     apriori_bound: Optional[float]
     passed: bool
-    wall_time: float = 0.0
 
     @property
     def abs_error(self) -> Optional[float]:
@@ -158,25 +156,20 @@ def _build_member(cfg: ExperimentConfig, bernstein: bool = False):
     raise UsageError(f"function: unknown id {cfg.function!r}")
 
 
-def _run_derivative_convergence(cfg: ExperimentConfig, which: str) -> list[ResultRow]:
+def _run_derivative_convergence(cfg: ExperimentConfig, series) -> list[ResultRow]:
     member = _build_member(cfg, bernstein=True)
-    if which == "valiron" and min(cfg.n_list) < 2:
+    if series is valiron_derivative and min(cfg.n_list) < 2:
         raise UsageError("n: the Valiron-derived series needs n >= 2")
     p = PolarPoint(*cfg.point)
     oracle = theta_oracle(member, p)
     rows = []
     for n in cfg.n_list:
-        start = time.perf_counter()
-        if which == "boas":
-            rep = boas_derivative(member, p, n)
-        else:
-            rep = valiron_derivative(member, p, n)
+        rep = series(member, p, n)
         err = abs(rep.value - oracle)
         rows.append(ResultRow(
             experiment=cfg.experiment, inputs=f"n={n}", value=rep.value,
             oracle=oracle, apriori_bound=rep.apriori_bound,
-            passed=err <= rep.apriori_bound,
-            wall_time=time.perf_counter() - start))
+            passed=err <= rep.apriori_bound))
     return rows
 
 
@@ -188,16 +181,17 @@ def _run_reconstruct(cfg: ExperimentConfig) -> list[ResultRow]:
     for n in cfg.n_list:
         samples = SampleSet.from_member(member, n)
         for r in radii:
-            start = time.perf_counter()
             rep = valiron_reconstruct(samples, float(r), n)
             oracle = complex(member.weighted_profile(math.log(r), 0.0))
             err = abs(rep.value - oracle)
             rows.append(ResultRow(
                 experiment=cfg.experiment, inputs=f"n={n} r={_fmt(float(r))}",
                 value=rep.value, oracle=oracle, apriori_bound=rep.apriori_bound,
-                passed=err <= rep.apriori_bound + _ROUNDING * samples.growth_constant,
-                wall_time=time.perf_counter() - start))
+                passed=err <= rep.apriori_bound + _ROUNDING * samples.growth_constant))
     return rows
+
+
+_CAUCHY_POINTS = 10
 
 
 def _run_contour_cauchy(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -208,29 +202,26 @@ def _run_contour_cauchy(cfg: ExperimentConfig) -> list[ResultRow]:
     q = QuadratureSpec(tol=cfg.tol)
     # deterministic interior points on a golden-angle chart lattice
     pts = []
-    for i in range(10):
+    for i in range(_CAUCHY_POINTS):
         u = (0.5 + i * 0.6180339887498949) % 1.0
         v = (0.5 + i * 0.7548776662466927) % 1.0
         pts.append(complex(-0.8 + 1.6 * u, -0.8 + 1.6 * v))
     rows = []
     for zeta in pts:
         p0 = PolarPoint(math.exp(zeta.real), zeta.imag)
-        start = time.perf_counter()
         got = cauchy_value(f, gamma, p0, q)
         want = f(p0)
         rows.append(ResultRow(
             experiment=cfg.experiment,
             inputs=f"r0={_fmt(p0.r)} theta0={_fmt(p0.theta)}",
             value=got, oracle=want, apriori_bound=None,
-            passed=abs(got - want) <= max(1e-8, 100.0 * cfg.tol),
-            wall_time=time.perf_counter() - start))
+            passed=abs(got - want) <= max(1e-8, 100.0 * cfg.tol)))
     return rows
 
 
 def _run_residue_defect(cfg: ExperimentConfig) -> list[ResultRow]:
     built = _build_member(cfg)
     base = getattr(built, "f", built)
-    start = time.perf_counter()
     F, gamma, poles = boas_kernel(base, T=cfg.T, n_rect=cfg.n_rect)
     q = QuadratureSpec(tol=cfg.tol)
     defect = residue_theorem_check(F, gamma, poles, cfg.c, q)
@@ -238,21 +229,18 @@ def _run_residue_defect(cfg: ExperimentConfig) -> list[ResultRow]:
         experiment=cfg.experiment,
         inputs=f"n-rect={cfg.n_rect} c={_fmt(cfg.c)}",
         value=complex(defect), oracle=0.0 + 0j, apriori_bound=10.0 * cfg.tol,
-        passed=defect <= 10.0 * cfg.tol,
-        wall_time=time.perf_counter() - start)
+        passed=defect <= 10.0 * cfg.tol)
     return [row]
 
 
 def _run_bernstein(cfg: ExperimentConfig) -> list[ResultRow]:
     member = _build_member(cfg, bernstein=True)
-    start = time.perf_counter()
     n = max(cfg.n_list)
     ratio = bernstein_check(member, theta=cfg.theta, n=n)
     row = ResultRow(
         experiment=cfg.experiment, inputs=f"theta={_fmt(cfg.theta)} n={n}",
         value=complex(ratio), oracle=None, apriori_bound=member.T * (1.0 + 1e-3),
-        passed=ratio <= member.T * (1.0 + 1e-3),
-        wall_time=time.perf_counter() - start)
+        passed=ratio <= member.T * (1.0 + 1e-3))
     return [row]
 
 
@@ -262,27 +250,77 @@ def _run_fourier_demo(cfg: ExperimentConfig) -> list[ResultRow]:
     oracle = 1j * w0 * g(x)
     rows = []
     for n in cfg.n_list:
-        start = time.perf_counter()
         val = fourier_valiron_derivative(g, w, x, n)
         bound = 2.0 * w / (math.pi * (8.0 * n * n - 2.0))  # truncation bound for |g| <= 1
         if not math.isfinite(bound):
             raise DomainError(f"fourier-demo: the truncation bound at w={_fmt(w)} overflows")
         rows.append(ResultRow(
             experiment=cfg.experiment, inputs=f"n={n}", value=val, oracle=oracle,
-            apriori_bound=bound, passed=abs(val - oracle) <= bound,
-            wall_time=time.perf_counter() - start))
+            apriori_bound=bound, passed=abs(val - oracle) <= bound))
     return rows
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], list[ResultRow]]] = {
-    "boas-convergence": lambda cfg: _run_derivative_convergence(cfg, "boas"),
-    "valiron-convergence": lambda cfg: _run_derivative_convergence(cfg, "valiron"),
-    "reconstruct": _run_reconstruct,
-    "contour-cauchy": _run_contour_cauchy,
-    "residue-defect": _run_residue_defect,
-    "bernstein": _run_bernstein,
-    "fourier-demo": _run_fourier_demo,
-}
+# ---------------------------------------------------------------------------
+# the experiment table: runner, default n and predicted work
+# ---------------------------------------------------------------------------
+
+class _Experiment(NamedTuple):
+    name: str
+    run: Callable[[ExperimentConfig], list[ResultRow]]
+    default_n: tuple[int, ...]  # when --n is not given
+    # (profile calls, their points, other steps that grow with an input),
+    # from the configuration alone; the profile is the member's weighted
+    # profile, f for the contour experiments, g for fourier-demo
+    work: Callable[[ExperimentConfig], tuple[int, int, int]]
+
+
+def _series_work(cfg: ExperimentConfig, extra: int = 0) -> tuple[int, int, int]:
+    """2n one-point calls at each n, plus ``extra``."""
+    calls = sum(2 * n + extra for n in cfg.n_list)
+    return calls, calls, 0
+
+
+def _reconstruct_work(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """A 2n-point sample set per n; one oracle call and 2n lattice terms per radius."""
+    radii, lattice, sets = cfg.r_grid[2], sum(2 * n for n in cfg.n_list), len(cfg.n_list)
+    return sets * (1 + radii), lattice + sets * radii, radii * lattice
+
+
+def _bernstein_work(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """The denominator and 2n shifted copies of the grid."""
+    calls = 2 * max(cfg.n_list) + 1
+    return calls, calls * LogGrid().count, 0
+
+
+def _contour_work(quadratures: int, calls: int, other: int = 0) -> tuple[int, int, int]:
+    """At most _MAX_PASSES 16-point passes per quadrature, plus one-point calls."""
+    return quadratures * _MAX_PASSES + calls, quadratures * 16 * _MAX_PASSES + calls, other
+
+
+def _residue_work(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """One quadrature, at most three calls per pole (its factor's check, its
+    residue, a chain's call of f), and each declared singularity compared
+    with each listed pole."""
+    poles = 2 * cfg.n_rect + 1
+    return _contour_work(1, 3 * poles, poles * poles)
+
+
+# bernstein's default n matches the epsilon = 1e-3 slack budget of its contract
+_TABLE = {row.name: row for row in (
+    _Experiment("boas-convergence", lambda cfg: _run_derivative_convergence(cfg, boas_derivative),
+                (2, 4, 8, 16, 32, 64), _series_work),
+    _Experiment("valiron-convergence",
+                lambda cfg: _run_derivative_convergence(cfg, valiron_derivative),
+                (2, 4, 8, 16, 32, 64), _series_work),
+    _Experiment("reconstruct", _run_reconstruct, (256,), _reconstruct_work),
+    _Experiment("contour-cauchy", _run_contour_cauchy, (1,),
+                lambda cfg: _contour_work(_CAUCHY_POINTS, _CAUCHY_POINTS)),
+    _Experiment("residue-defect", _run_residue_defect, (1,), _residue_work),
+    _Experiment("bernstein", _run_bernstein, (500,), _bernstein_work),
+    _Experiment("fourier-demo", _run_fourier_demo, (8, 32, 128),
+                lambda cfg: _series_work(cfg, extra=2)),  # the central difference
+)}
+EXPERIMENTS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +331,14 @@ def _write_csv(path: Optional[str], cfg: ExperimentConfig, rows: list[ResultRow]
     lines = [f"# {CSV_SCHEMA}"]
     echo = " ".join(f"{k}={v}" for k, v in cfg.echo_items())
     lines.append(f"# config: {echo}")
-    header = ["experiment", "inputs", "value_re", "value_im", "oracle_re",
-              "oracle_im", "abs_error", "apriori_bound"]
-    if cfg.timing:
-        header.append("wall_time_s")
-    lines.append(",".join(header))
+    lines.append("experiment,inputs,value_re,value_im,oracle_re,oracle_im,abs_error,"
+                 "apriori_bound")
     for row in rows:
         cells = [row.experiment, row.inputs,
                  _fmt(row.value.real), _fmt(row.value.imag),
                  _opt(None if row.oracle is None else row.oracle.real),
                  _opt(None if row.oracle is None else row.oracle.imag),
                  _opt(row.abs_error), _opt(row.apriori_bound)]
-        if cfg.timing:
-            cells.append(_fmt(row.wall_time))
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if path:
@@ -316,7 +349,7 @@ def _write_csv(path: Optional[str], cfg: ExperimentConfig, rows: list[ResultRow]
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[ResultRow], str]:
     """Execute one experiment; returns (exit_status, rows, csv_text)."""
     cfg.validate()
-    rows = _RUNNERS[cfg.experiment](cfg)
+    rows = _TABLE[cfg.experiment].run(cfg)
     text = _write_csv(cfg.out, cfg, rows)
     failures = sum(1 for r in rows if not r.passed)
     errors = [r.abs_error for r in rows if r.abs_error is not None]
@@ -442,8 +475,6 @@ def _make_parser() -> argparse.ArgumentParser:
     for opt in _OPTIONS:
         runp.add_argument("--" + opt.key, dest=opt.field, type=opt.parse, default=None)
     runp.add_argument("--config", default=None)
-    runp.add_argument("--timing", action="store_true", default=None,
-                      help="append wall-clock column (breaks byte determinism)")
 
     sub.add_parser("list-functions", help="print the function registry")
     sub.add_parser("version", help="print the version")
@@ -461,7 +492,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"mellin-polar {__version__}")
             return 0
         flags = {opt.field: getattr(args, opt.field) for opt in _OPTIONS}
-        flags["timing"] = args.timing
         cfg = build_config(args.experiment, flags, args.config)
         with np.errstate(over="ignore", invalid="ignore"):  # the library refuses non-finite values
             status, _, _ = run_experiment(cfg)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -445,17 +446,18 @@ def residue_numeric(F: PolarFunction, p0: PolarPoint, c: float,
 
     F must be polar-analytic on the punctured chart disk of the given radius.
     Default radius: half the chart distance to the nearest *other* declared
-    singularity of F's domain, capped at 0.5.  Enclosing a second singularity
-    is the caller's responsibility, as documented.
+    singularity of F's domain, capped at 0.5.  A radius whose circle passes
+    through or winds around another declared singularity is refused with
+    PreconditionError.
     """
+    z0 = p0.log_z
+    others = [s for s in F.domain.excluded if abs(s.log_z - z0) > 1e-14]
     if radius is None:
-        radius = 0.5
-        z0 = p0.log_z
-        for s in F.domain.excluded:
-            d = abs(s.log_z - z0)
-            if d > 1e-14:
-                radius = min(radius, d / 2.0)
+        radius = min([0.5] + [abs(s.log_z - z0) / 2.0 for s in others])
     circle = log_circle(p0, radius)
+    if any(not abs(_winding(circle, s)) < 0.5 for s in others):  # NaN: s on the circle
+        raise PreconditionError("the residue circle passes through or winds around "
+                                "another declared singularity")
     return _weighted_integral(F, circle, c, q) / (2j * math.pi)
 
 
@@ -512,6 +514,9 @@ def boas_kernel(f: PolarFunction, T: float = 1.0,
         raise PreconditionError("T must be positive")
     if n_rect < 1:
         raise PreconditionError("n_rect must be >= 1")
+    if not (n_rect - 0.5) * math.pi / T < -math.log(sys.float_info.min):
+        raise PreconditionError(f"n_rect = {n_rect} at T = {T!r} puts pole radii "
+                                "e^{(k+1/2) pi/T} outside the double range")
     half = n_rect * math.pi / T
     cos_t = _profiled(0.0, T, TrigTone(0.0, 1.0), name=f"cos({T}L)")
 

@@ -45,8 +45,6 @@ from .core import (
 __all__ = [
     "LogGrid",
     "MellinBernsteinMember",
-    "NormEstimate",
-    "central_mellin_difference",
     "function_registry",
     "lin_value",
     "make_lin",
@@ -56,9 +54,7 @@ __all__ = [
     "mellin_dilate",
     "mellin_translate",
     "sinc",
-    "sup_norm",
     "theta_shift",
-    "verify_growth_bound",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606065
@@ -284,24 +280,6 @@ class LogGrid:
     def xs(self) -> np.ndarray:
         return np.linspace(self.log_min, self.log_max, self.count)
 
-    def radii(self) -> np.ndarray:
-        return np.exp(self.xs())
-
-    def describe(self) -> str:
-        return f"log r in [{self.log_min}, {self.log_max}], {self.count} points"
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """Grid estimate of the weighted sup norm sup_r r^c |f(r, theta)|.
-
-    A lower bound of the true sup: the grid sup never exceeds it.
-    """
-
-    value: float
-    grid_spec: str
-    truncation_note: str
-
 
 class MellinBernsteinMember:
     """A polar-analytic function tagged with class data (c, T, C_f).
@@ -504,56 +482,6 @@ def theta_shift(m: MellinBernsteinMember, alpha: float) -> MellinBernsteinMember
     alpha = float(alpha)
     return _chart_affine(m, 1.0, complex(0.0, alpha), 1.0,
                          f"theta_shift({m.name}, alpha={alpha})")
-
-
-# ---------------------------------------------------------------------------
-# Central Mellin differences and the weighted sup norm
-# ---------------------------------------------------------------------------
-
-def central_mellin_difference(f: PolarFunction, p: PolarPoint, c: float, h: float) -> complex:
-    """(delta_{c,h} f)(p) = h^c f(h r, theta) - h^{-c} f(r/h, theta)."""
-    if not (h > 0.0):
-        raise PreconditionError("increment h must be positive")
-    x, th = math.log(p.r), p.theta
-    lh = math.log(h)
-    for dx in (lh, -lh):
-        f.domain.require(PolarPoint(math.exp(x + dx), th))
-    hc = math.exp(c * lh)
-    return complex(hc * f.log_fn(x + lh, th) - f.log_fn(x - lh, th) / hc)
-
-
-def sup_norm(f: PolarFunction, c: float, theta: float = 0.0,
-             grid: LogGrid = LogGrid()) -> NormEstimate:
-    """Grid sup of r^c |f(r, theta)| — the X_c^infinity norm estimate.
-
-    A lower bound of the true sup over r > 0 (honest for inequality checks
-    with explicit slack); the grid is reported alongside the value.
-    """
-    xs = grid.xs()
-    vals = np.abs(np.exp(c * xs) * f.values_log(xs, theta))
-    return NormEstimate(
-        value=float(np.max(vals)),
-        grid_spec=grid.describe(),
-        truncation_note="grid sup; lower bound of the sup over all r > 0")
-
-
-def verify_growth_bound(m: MellinBernsteinMember,
-                        log_range: tuple[float, float] = (-6.0, 6.0),
-                        theta_range: tuple[float, float] = (-3.0, 3.0),
-                        n_log: int = 41, n_theta: int = 41) -> float:
-    """Minimum slack of C_f e^{T|theta|} - r^c |f| over the verification grid.
-
-    Nonnegative iff the declared growth bound holds on the grid.  Members
-    that attain the bound with exact equality evaluate the two sides through
-    different floating routes, so the comparison carries a 1e-13 relative
-    rounding margin (far below any meaningful violation).
-    """
-    xs = np.linspace(log_range[0], log_range[1], n_log)
-    ths = np.linspace(theta_range[0], theta_range[1], n_theta)
-    X, TH = np.meshgrid(xs, ths, indexing="ij")
-    weighted = np.abs(m.weighted_profile(X.ravel(), TH.ravel()))
-    allowed = m.growth_constant * np.exp(m.T * np.abs(TH.ravel()))
-    return float(np.min(allowed * (1.0 + 1e-13) - weighted))
 
 
 # ---------------------------------------------------------------------------

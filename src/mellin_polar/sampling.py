@@ -66,11 +66,6 @@ __all__ = [
     "valiron_reconstruct",
 ]
 
-# removable singularities of the reconstruction formula are taken by their
-# limit branch inside this window around the sample abscissae
-_GRID_LIMIT_WINDOW = 1e-8
-
-
 class _Kahan:
     """Compensated accumulator (complex); deterministic term-order summation."""
 
@@ -315,16 +310,16 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
             + T log r sum_{0<|k|<=n} (-1)^{k+1} e^{k pi c/T} f(e^{k pi/T},0)
                                       / (k pi (k pi - T log r)) ]
 
-    with A = (Theta_c f)(1, 0).  The removable singularities at r = 1 and at
-    the sample abscissae T log r = k pi are taken by their limit branches
-    (the sinc continuation) inside a 1e-8 window, which avoids catastrophic
-    cancellation on the lattice; at most one lattice term falls inside it.
-    The 2n lattice terms are formed as one array and summed in the order
-    1, -1, 2, -2, ...: each symmetric block compensated on its own, the
-    blocks then compensated in turn.  The report carries the module's
-    truncation bound, which needs y = |T log r|/pi < n: larger y is refused.
-    Rounding of k pi adds about C_f k 1e-16/|x - k pi| near a lattice
-    abscissa, beyond the bound within about 1e-7 of one.
+    with A = (Theta_c f)(1, 0).  Every term is formed by the sinc
+    continuation sin(x)/(k pi - x) = (-1)^{k+1} sin(d)/d, d = x - k pi, an
+    identity for every x = T log r: lattice term k is x w_k sin(d)/(d k pi)
+    with w_k the weighted sample, the centre term f(1,0) sin(x)/x, and
+    sin(d)/d is 1 at d = 0.  So no term loses digits to the rounding of
+    k pi next to a lattice abscissa.  The 2n lattice terms are formed as
+    one array and summed in the order 1, -1, 2, -2, ...: each symmetric
+    block compensated on its own, the blocks then compensated in turn.  The
+    report carries the module's truncation bound, which needs
+    y = |T log r|/pi < n: larger y is refused.
     """
     if not (r > 0.0):
         raise PreconditionError("reconstruction radius must be positive")
@@ -345,24 +340,14 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
 
     acc = _Kahan()
     acc.add(sin_x * s.center_derivative / T)
-    if abs(x) < _GRID_LIMIT_WINDOW:
-        acc.add(s.center_value)  # limit of sin(x)/x -> 1
-    else:
-        acc.add(sin_x * s.center_value / x)
+    acc.add((sin_x / x if x else 1.0) * s.center_value)
 
     ks, _, weighted = s._blocks
-    ks, weighted = ks[:2 * n], weighted[:2 * n]
-    kp = ks * math.pi
-    sign = np.where(ks % 2 == 0, -1.0, 1.0)  # (-1)^{k+1}
-    near = np.flatnonzero(np.abs(x - kp) < _GRID_LIMIT_WINDOW)
-    denom = kp * (kp - x)
-    denom[near] = 1.0
-    terms = _div_real(sin_x * x * sign * weighted, denom)
-    for i in near.tolist():
-        # sin(x)/(k pi - x) -> (-1)^{k+1} sinc((x - k pi)/pi)
-        k = int(ks[i])
-        cont = (-1.0) ** (k + 1) * float(sinc((x - kp[i]) / math.pi).real)
-        terms[i] = x * (-1.0) ** (k + 1) * complex(weighted[i]) * cont / float(kp[i])
+    kp = ks[:2 * n] * math.pi
+    d = x - kp
+    with np.errstate(invalid="ignore"):  # 0/0 on a lattice abscissa, where the ratio is 1
+        ratio = np.where(d == 0.0, 1.0, np.sin(d) / d)
+    terms = _div_real(x * ratio * weighted[:2 * n], kp)
 
     # a fresh _Kahan per block, adding the k term and then the -k term
     zero = 0.0 + 0j

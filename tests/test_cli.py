@@ -4,8 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import mellin_polar.cli as cli
 from mellin_polar.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -24,6 +26,38 @@ NON_DEFAULT_FLAGS = {"c": 0.3, "T": 1.7, "a": 0.2 + 0.1j, "alpha": -0.3, "t_shif
 def run_cli(argv):
     return subprocess.run([sys.executable, "-m", "mellin_polar.cli", *argv],
                           capture_output=True, text=True)
+
+
+def count_profile_calls(monkeypatch, limit=None):
+    """Count the calls and points of a run's profile: the member's weighted
+    profile, f for the contour experiments, g for fourier-demo.  Past
+    ``limit`` calls the counter raises, so an unbounded run fails, not hangs."""
+    counts = {"calls": 0, "points": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts["calls"] += 1
+            counts["points"] += np.broadcast(*args).size
+            if limit is not None and counts["calls"] > limit:
+                raise RuntimeError(f"more than {limit} profile calls")
+            return fn(*args)
+        return wrapper
+
+    build, fourier = cli._build_member, cli.fourier_valiron_derivative
+
+    def build_counted(cfg, bernstein=False):
+        member = build(cfg, bernstein)
+        if cfg.experiment in ("contour-cauchy", "residue-defect"):
+            f = getattr(member, "f", member)
+            f.log_fn = counted(f.log_fn)
+        else:
+            member.weighted_profile = counted(member.weighted_profile)
+        return member
+
+    monkeypatch.setattr(cli, "_build_member", build_counted)
+    monkeypatch.setattr(cli, "fourier_valiron_derivative",
+                        lambda g, *args: fourier(counted(g), *args))
+    return counts
 
 
 class TestRunExperiments:
@@ -53,11 +87,6 @@ class TestRunExperiments:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_timing_flag_adds_column(self, tmp_path):
-        out = tmp_path / "t.csv"
-        main(["run", "boas-convergence", "--n", "2,4", "--out", str(out), "--timing"])
-        assert "wall_time_s" in out.read_text().splitlines()[2]
 
     def test_residue_defect(self, tmp_path):
         out = tmp_path / "defect.csv"
@@ -155,6 +184,44 @@ class TestConfigHandling:
         assert again == cfg
 
 
+class TestPredictedWork:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_counted_profile_work_matches_the_prediction(self, experiment, monkeypatch,
+                                                         capsys):
+        counts = count_profile_calls(monkeypatch)
+        cfg = build_config(experiment, {})
+        assert run_experiment(cfg)[0] == 0
+        calls, points, _ = cli._TABLE[experiment].work(cfg)
+        if experiment in ("contour-cauchy", "residue-defect"):  # passes stop at the tolerance
+            assert 0 < counts["calls"] <= calls
+            assert 0 < counts["points"] <= points
+        else:
+            assert (counts["calls"], counts["points"]) == (calls, points)
+
+    @pytest.mark.parametrize("experiment, flags", [
+        ("boas-convergence", {"n_list": (2, 3_000_000)}),
+        ("fourier-demo", {"n_list": (8, 30_000_000)}),
+        ("reconstruct", {"n_list": (2_000_000,)}),
+        ("reconstruct", {"r_grid": (0.5, 2.0, 3_000_000)}),
+        ("bernstein", {"n_list": (50_000,)}),
+        ("residue-defect", {"T": 100.0, "n_rect": 20_000}),
+    ])
+    def test_runaway_work_is_refused(self, experiment, flags):
+        with pytest.raises(UsageError, match="^work: .* exceed the cap"):
+            build_config(experiment, flags).validate()
+
+    def test_runaway_run_exits_2_before_any_evaluation(self, monkeypatch, capsys):
+        counts = count_profile_calls(monkeypatch, limit=10 ** 6)
+        assert main(["run", "boas-convergence", "--n", "2,3000000"]) == 2
+        assert counts["calls"] == 0
+        assert capsys.readouterr().err.startswith("usage error: work: ")
+
+    def test_cap_admits_the_largest_documented_runs(self):
+        # a 2000-block Bernstein grid and 80 000 Boas blocks
+        build_config("bernstein", {"n_list": (2000,)}).validate()
+        build_config("boas-convergence", {"n_list": (80_000,)}).validate()
+
+
 class TestCommandLine:
     def test_usage_error_exit_code(self):
         proc = run_cli(["run", "boas-convergence", "--function", "mystery"])
@@ -175,6 +242,13 @@ class TestCommandLine:
             main(["run", "residue-defect", "--kernel", "boas"])
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
+
+    def test_timing_flag_is_gone(self, capsys):
+        # every CSV is byte-deterministic; no switch appends a wall-clock column
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "boas-convergence", "--timing"])
+        assert exc.value.code == 2
+        assert "--timing" in capsys.readouterr().err
 
     def test_summary_line_printed(self, capsys):
         main(["run", "boas-convergence", "--n", "2,4"])

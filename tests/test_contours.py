@@ -314,6 +314,12 @@ class TestResidues:
         got = residue_numeric(F, PolarPoint(1.0, 0.0), 0.0)
         assert abs(got - 1.0) <= 1e-9  # radius 0.1 avoids the neighbor
 
+    def test_radius_around_another_singularity_is_refused(self):
+        # the kernel's simple poles sit at chart distance pi/2 from (1, 0)
+        F, _, _ = boas_kernel(make_mellin_sine(0.0, 1.0).f, T=1.0, n_rect=1)
+        with pytest.raises(PreconditionError, match="another declared singularity"):
+            residue_numeric(F, PolarPoint(1.0, 0.0), 0.0, radius=2.0)
+
     def test_missing_factor_rejected(self):
         spec = LogPoleSpec(PolarPoint(1.0, 0.0), 1, None)
         with pytest.raises(PreconditionError):
@@ -346,6 +352,12 @@ class TestResidueTheorem:
         F, gamma, poles = boas_kernel(sine.f, T=1.0, n_rect=1)
         defect = residue_theorem_check(F, gamma, poles, 0.0)
         assert defect <= 1e-9
+
+    @pytest.mark.parametrize("n_rect, T", [(300, 1.0), (226, 1.0), (3, 1e-3)])
+    def test_kernel_poles_outside_the_double_range_are_refused(self, n_rect, T):
+        # the pole radii e^{(k+1/2) pi/T}, k = -n_rect..n_rect-1, leave the double range
+        with pytest.raises(PreconditionError, match=f"n_rect = {n_rect} at T = {T!r}"):
+            boas_kernel(make_mellin_sine(0.0, 1.0).f, T=T, n_rect=n_rect)
 
     @pytest.mark.parametrize("case, message", [
         ("reversed", "interior"),

@@ -12,12 +12,10 @@ from mellin_polar import (
     DegenerateInputError,
     Domain,
     DomainError,
-    LogGrid,
     MellinBernsteinMember,
     PolarFunction,
     PolarPoint,
     PreconditionError,
-    central_mellin_difference,
     higher_mellin_derivative,
     make_lin,
     make_mellin_sine,
@@ -27,14 +25,12 @@ from mellin_polar import (
     mellin_dilate,
     mellin_translate,
     power_member,
-    sup_norm,
     theta_oracle,
     theta_shift,
-    verify_growth_bound,
 )
 from mellin_polar.functions import SineBlendProfile, lin_value, function_registry, sinc
 
-from util import lattice_points
+from util import central_mellin_difference, lattice_points, verify_growth_bound
 
 
 def all_members():
@@ -325,39 +321,6 @@ class TestCentralDifference:
     def test_rejects_nonpositive_increment(self):
         with pytest.raises(PreconditionError):
             central_mellin_difference(make_power(1.0), PolarPoint(1.0, 0.0), 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# weighted sup norm
-# ---------------------------------------------------------------------------
-
-class TestSupNorm:
-    def test_sine_norm_is_one(self):
-        for c, T in [(0.0, 1.0), (0.5, 2.0)]:
-            est = sup_norm(make_mellin_sine(c, T).f, c)
-            assert 0.999 <= est.value <= 1.0 + 1e-12
-
-    def test_unimodular_power_norm(self):
-        c, b = 0.8, 3.0
-        est = sup_norm(make_power(complex(-c, b)), c)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_function(self):
-        from mellin_polar.core import constant
-        assert sup_norm(constant(0.0), 1.0).value == 0.0
-
-    def test_norm_invariant_under_translation(self):
-        m = make_mellin_sine(0.5, 2.0)
-        base = sup_norm(m.f, m.c).value
-        for i in range(10):
-            t = math.exp(-1.0 + 2.0 * ((0.5 + (i + 1) * 0.618033988749) % 1.0))
-            g = mellin_translate(m, t)
-            assert sup_norm(g.f, g.c).value == pytest.approx(base, abs=2e-3)
-
-    def test_grid_metadata_reported(self):
-        est = sup_norm(make_mellin_sine(0.0, 1.0).f, 0.0, grid=LogGrid(-2.0, 2.0, 101))
-        assert "101 points" in est.grid_spec
-        assert "lower bound" in est.truncation_note
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from mellin_polar import (
     SampleSet,
     bernstein_check,
     boas_derivative,
-    central_mellin_difference,
     convergence_study,
     fit_loglog_slope,
     fourier_valiron_derivative,
@@ -33,7 +33,7 @@ from mellin_polar import (
 )
 from mellin_polar.core import constant
 
-from util import lattice_points
+from util import central_mellin_difference, lattice_points
 
 CONFIGS = [(0.0, 1.0), (0.5, 2.0), (-1.0, math.pi)]
 
@@ -288,6 +288,29 @@ class TestValironReconstruction:
         rep = valiron_reconstruct(s, r, n)
         oracle = complex(m.weighted_profile(math.log(r), 0.0))
         assert abs(rep.value - oracle) <= rep.apriori_bound + 1e-12 * m.growth_constant
+
+    @pytest.mark.parametrize("kind", ["translated", "blend"])
+    @pytest.mark.parametrize("k", [1, 40])
+    @pytest.mark.parametrize("offset", [1.01e-8, -1.01e-8])
+    def test_truncation_bound_next_to_the_lattice(self, kind, k, offset):
+        # x = T log r just off the abscissa k pi, where a term formed as
+        # sin(x)/(k pi - x) with the rounded k pi is off by about 1e-16 k/|x - k pi|
+        n, shift = 64, {"translated": math.pi / 6.0, "blend": 0.4}[kind]
+        build = {"translated": make_mellin_sine, "blend": make_sine_blend}[kind]
+        m = mellin_translate(build(0.0, 1.0), math.exp(shift))
+        log_t = math.log(math.exp(shift))
+        s = SampleSet.from_member(m, n)
+        r = math.exp(k * math.pi + offset)
+        rep = valiron_reconstruct(s, r, n)
+        with mpmath.workdps(40):
+            w = mpmath.log(r) + log_t
+            if kind == "translated":
+                oracle = mpmath.sin(w)
+            else:  # amp sin w + the integral of sin((1 - e) w)/e over [floor, 1/2], w > 0
+                oracle = ((10 + mpmath.ci(w / 2) - mpmath.ci(1e-4 * w)) * mpmath.sin(w)
+                          - (mpmath.si(w / 2) - mpmath.si(1e-4 * w)) * mpmath.cos(w))
+            err = abs(rep.value - complex(oracle))
+        assert err <= rep.apriori_bound + 1e-12 * m.growth_constant
 
     def test_sample_set_validation(self):
         with pytest.raises(PreconditionError, match="symmetric"):

@@ -23,9 +23,7 @@ from mellin_polar import (
     valiron_lin_form,
     valiron_reconstruct,
 )
-from mellin_polar.functions import lin_value, sinc
-
-_WINDOW = 1e-8
+from mellin_polar.functions import lin_value
 
 
 # ---------------------------------------------------------------------------
@@ -45,27 +43,20 @@ class _Kahan:
 
 
 def reference_reconstruct(s, r, n):
-    """The value of the scalar loop."""
+    """The value of the scalar loop, each term by the sinc continuation."""
     T = s.T
     x = T * math.log(r)
     sin_x = math.sin(x)
     acc = _Kahan()
     acc.add(sin_x * s.center_derivative / T)
-    if abs(x) < _WINDOW:
-        acc.add(s.center_value)
-    else:
-        acc.add(sin_x * s.center_value / x)
+    acc.add((sin_x / x if x else 1.0) * s.center_value)
     for k in range(1, n + 1):
         block = _Kahan()
         for kk in (k, -k):
-            sk = s.weighted_ring[kk]
             kp = kk * math.pi
-            if abs(x - kp) < _WINDOW:
-                cont = (-1.0) ** (kk + 1) * float(sinc((x - kp) / math.pi).real)
-                term = x * (-1.0) ** (kk + 1) * sk * cont / kp
-            else:
-                term = sin_x * x * (-1.0) ** (kk + 1) * sk / (kp * (kp - x))
-            block.add(term)
+            d = x - kp
+            ratio = float(np.sin(d)) / d if d else 1.0
+            block.add(x * ratio * s.weighted_ring[kk] / kp)
         acc.add(block.total)
     return acc.total
 
