@@ -5,7 +5,7 @@ The package provides, in layers:
 * ``core``      polar and Mellin polar derivatives, generalized Stirling
                 tables, Cauchy-Riemann residuals, Taylor-type expansions;
 * ``functions`` closed-form test functions, Mellin-Bernstein class metadata,
-                the space-preserving transformations, weighted sup norms;
+                the space-preserving transformations;
 * ``contours``  curves in the (log r, theta) chart with exact winding
                 numbers, contour quadrature by one 16-point Gauss-Legendre
                 rule under global bisection, Cauchy integral formulas,

@@ -510,14 +510,18 @@ def boas_kernel(f: PolarFunction, T: float = 1.0,
     so summing residues over growing rectangles rebuilds the sampling form
     of the derivative.
     """
-    if not (T > 0.0):
-        raise PreconditionError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise PreconditionError("T must be positive and finite")
     if n_rect < 1:
         raise PreconditionError("n_rect must be >= 1")
     if not (n_rect - 0.5) * math.pi / T < -math.log(sys.float_info.min):
         raise PreconditionError(f"n_rect = {n_rect} at T = {T!r} puts pole radii "
                                 "e^{(k+1/2) pi/T} outside the double range")
     half = n_rect * math.pi / T
+    # |L^2 cos(T L)| is about half^2 e^{n_rect pi} at the rectangle's corners
+    if not 2.0 * math.log(half) + n_rect * math.pi < math.log(sys.float_info.max):
+        raise PreconditionError(f"n_rect = {n_rect} at T = {T!r} overflows the kernel "
+                                "denominator L^2 cos(T L) at the rectangle's corners")
     cos_t = _profiled(0.0, T, TrigTone(0.0, 1.0), name=f"cos({T}L)")
 
     sample_points = [PolarPoint(math.exp((k + 0.5) * math.pi / T), 0.0)

@@ -38,8 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,13 +113,21 @@ class TruncationReport:
     apriori_bound: float
 
 
-@dataclass(frozen=True)
+def _lattice(n: int) -> np.ndarray:
+    """Lattice indices k in block order 1, -1, 2, -2, ..., n, -n."""
+    ks = np.arange(1, n + 1).repeat(2)
+    ks[1::2] *= -1
+    return ks
+
+
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Data consumed by the reconstruction formulas.
 
-    ``ring_samples`` maps k != 0 to the raw sample f(e^{k pi/T}, 0) over a
-    symmetric index range; ``weighted_ring`` holds e^{k pi c/T} f(e^{k pi/T}, 0),
-    which is the bounded quantity the series actually use (|.| <= C_f for a
+    ``weighted`` holds the weighted ring samples e^{k pi c/T} f(e^{k pi/T}, 0)
+    as one read-only array in block order k = 1, -1, 2, -2, ..., n, -n (see
+    :func:`_lattice`), so its first 2n entries are the n innermost symmetric
+    blocks.  They are the bounded quantity the series use (|.| <= C_f for a
     member, with ``growth_constant`` = C_f finite and positive).  Built from a
     member via :meth:`from_member`, which evaluates the weighted samples stably.
     """
@@ -130,54 +137,34 @@ class SampleSet:
     growth_constant: float
     center_value: complex
     center_derivative: complex
-    ring_samples: Mapping[int, complex]
-    weighted_ring: Mapping[int, complex]
+    weighted: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.growth_constant < math.inf:
             raise PreconditionError("growth_constant must be finite and positive")
-        ks = sorted(self.ring_samples)
-        n = max(ks) if ks else 0
-        expected = [k for k in range(-n, n + 1) if k != 0]
-        if ks != expected:
+        weighted = np.array(self.weighted, dtype=complex)
+        if weighted.ndim != 1 or not weighted.size or weighted.size % 2:
             raise PreconditionError(
-                "ring sample indices must form a symmetric range {-n..-1, 1..n}")
-        if sorted(self.weighted_ring) != ks:
-            raise PreconditionError("weighted ring samples must mirror ring_samples")
+                "weighted ring samples must come in symmetric pairs k, -k (even nonzero length)")
+        weighted.flags.writeable = False
+        object.__setattr__(self, "weighted", weighted)
 
     @property
     def n_ring(self) -> int:
-        return max(self.ring_samples) if self.ring_samples else 0
-
-    @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k, raw and weighted samples in block order 1, -1, 2, -2, ...
-
-        The first 2n entries are the n innermost symmetric blocks.
-        """
-        ks = np.arange(1, self.n_ring + 1).repeat(2)
-        ks[1::2] *= -1
-        order = ks.tolist()
-        return (ks, np.array([self.ring_samples[k] for k in order], dtype=complex),
-                np.array([self.weighted_ring[k] for k in order], dtype=complex))
+        return len(self.weighted) // 2
 
     @classmethod
     def from_member(cls, m: MellinBernsteinMember, n: int) -> "SampleSet":
         if n < 1:
             raise PreconditionError("need at least one ring sample pair")
-        ks = [k for k in range(-n, n + 1) if k != 0]
-        xs = np.array([k * math.pi / m.T for k in ks])
-        _check_shifts(0.0, np.abs(xs).tolist())
-        weighted = m.weighted_profile(xs, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = weighted * np.exp(-m.c * xs)  # may over/underflow; see valiron_lin_form
+        _check_shifts(0.0, (math.pi / m.T, n * math.pi / m.T))  # the least and greatest |x|
+        xs = _lattice(n) * math.pi / m.T
         center = PolarPoint(1.0, 0.0)
         return cls(
             c=m.c, T=m.T, growth_constant=m.growth_constant,
             center_value=m.value(center),
             center_derivative=m.theta_c(center),
-            ring_samples={k: complex(raw[i]) for i, k in enumerate(ks)},
-            weighted_ring={k: complex(weighted[i]) for i, k in enumerate(ks)})
+            weighted=m.weighted_profile(xs, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +290,14 @@ def fourier_valiron_derivative(g: Callable[[float], complex], w: float, x: float
 # Valiron reconstruction and its lin-function forms
 # ---------------------------------------------------------------------------
 
+def _check_ring_args(s: SampleSet, r: float, n: int) -> None:
+    """Refuse a radius that is not positive and finite, or n outside 1..n_ring."""
+    if not 0.0 < r < math.inf:
+        raise PreconditionError("reconstruction radius must be positive and finite")
+    if not 1 <= n <= s.n_ring:
+        raise PreconditionError(f"need 1 <= n <= {s.n_ring}, the ring pairs held; got {n}")
+
+
 def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     """Truncated reconstruction of r^c f(r, 0) from a sample set.
 
@@ -321,12 +316,7 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     report carries the module's truncation bound, which needs
     y = |T log r|/pi < n: larger y is refused.
     """
-    if not (r > 0.0):
-        raise PreconditionError("reconstruction radius must be positive")
-    if n < 1:
-        raise PreconditionError("need n >= 1 ring blocks")
-    if n > s.n_ring:
-        raise PreconditionError(f"sample set holds {s.n_ring} ring pairs, need {n}")
+    _check_ring_args(s, r, n)
     T = s.T
     x = T * math.log(r)
     y = abs(x) / math.pi
@@ -342,12 +332,11 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     acc.add(sin_x * s.center_derivative / T)
     acc.add((sin_x / x if x else 1.0) * s.center_value)
 
-    ks, _, weighted = s._blocks
-    kp = ks[:2 * n] * math.pi
+    kp = _lattice(n) * math.pi
     d = x - kp
     with np.errstate(invalid="ignore"):  # 0/0 on a lattice abscissa, where the ratio is 1
         ratio = np.where(d == 0.0, 1.0, np.sin(d) / d)
-    terms = _div_real(x * ratio * weighted[:2 * n], kp)
+    terms = _div_real(x * ratio * s.weighted[:2 * n], kp)
 
     # a fresh _Kahan per block, adding the k term and then the -k term
     zero = 0.0 + 0j
@@ -387,20 +376,15 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     """
     if variant not in ("weighted", "plain"):
         raise PreconditionError("variant must be 'weighted' or 'plain'")
-    if not (r > 0.0):
-        raise PreconditionError("reconstruction radius must be positive")
-    if n < 1 or n > s.n_ring:
-        raise PreconditionError(f"need 1 <= n <= {s.n_ring}")
+    _check_ring_args(s, r, n)
     T, c = s.T, s.c
     y = r ** (T / math.pi)          # lattice variable: samples sit at e^k
     log_r = math.log(r)
     log_y = T * log_r / math.pi
-    ks, raw, weighted = s._blocks
-    ks, raw, weighted = ks[:2 * n], raw[:2 * n], weighted[:2 * n]
-    if variant == "weighted":
-        nu, samples = c * math.pi / T, raw
-    else:  # lin_0 with the weighted samples; the r^c is stripped at the end
-        nu, samples = 0.0, weighted
+    ks, weighted = _lattice(n), s.weighted[:2 * n]
+    # lin_{c pi/T} with the raw samples, or lin_0 with the weighted samples
+    # and the r^c stripped at the end
+    nu = c * math.pi / T if variant == "weighted" else 0.0
 
     head = float(lin_value(nu, y))  # lin is real on the positive reals
     acc = _Kahan()
@@ -411,6 +395,9 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
         arg = np.array([math.exp(-k) if k > -710 else math.inf for k in ks.tolist()]) * y
         normal = np.isfinite(arg) & (arg >= np.finfo(float).tiny)  # log() of a subnormal loses bits
         kernel = lin_value(nu, np.where(normal, arg, 1.0))
+        # the raw samples may over/underflow; such terms are formed again below
+        samples = weighted * np.exp(-c * (ks * math.pi / T)) if variant == "weighted" \
+            else weighted
         terms = _div_real(log_y * samples * kernel, ks)
     bad = ~(normal & np.isfinite(terms))
     if bad.any():

@@ -321,6 +321,7 @@ class TestCommandLine:
         (["reconstruct", "--n", "1", "--r-grid", "0.01:100:5"], "truncation bound"),  # y >= n
         (["reconstruct", "--function", "theta-shifted-sine", "--T", "2", "--alpha", "354.6",
           "--r-grid", "1e174:1e175:3"], "bound overflows"),  # C_f = e^{709.2}
+        (["residue-defect", "--T", "10", "--n-rect", "1943"], "overflows the kernel denominator"),
     ])
     def test_refused_run_is_an_error_without_traceback_or_nan(self, args, message, tmp_path,
                                                               capsys):

@@ -359,6 +359,16 @@ class TestResidueTheorem:
         with pytest.raises(PreconditionError, match=f"n_rect = {n_rect} at T = {T!r}"):
             boas_kernel(make_mellin_sine(0.0, 1.0).f, T=T, n_rect=n_rect)
 
+    @pytest.mark.parametrize("T, last", [(1.0, 221), (3.0, 222), (10.0, 223), (100.0, 224)])
+    def test_kernel_denominator_overflow_is_refused(self, T, last):
+        # |L^2 cos(T L)| at the rectangle's corners is about half^2 e^{n_rect pi},
+        # half = n_rect pi/T: the last n_rect below the double range still integrates
+        sine = make_mellin_sine(0.0, T).f
+        F, gamma, poles = boas_kernel(sine, T=T, n_rect=last)
+        assert math.isfinite(residue_theorem_check(F, gamma, poles, 0.0))
+        with pytest.raises(PreconditionError, match=f"n_rect = {last + 1} at T = {T!r}"):
+            boas_kernel(sine, T=T, n_rect=last + 1)
+
     @pytest.mark.parametrize("case, message", [
         ("reversed", "interior"),
         ("poles-of-a-wider-square", "interior"),  # two of them lie outside the curve

@@ -2,11 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mellin_polar import (
     DegenerateInputError,
@@ -32,6 +33,7 @@ from mellin_polar import (
     valiron_reconstruct,
 )
 from mellin_polar.core import constant
+from mellin_polar.sampling import _lattice
 
 from util import central_mellin_difference, lattice_points
 
@@ -237,10 +239,11 @@ class TestValironReconstruction:
     def test_exact_interpolation_on_the_lattice(self):
         m = translated_sine(0.5, 2.0)
         s = SampleSet.from_member(m, 6)
+        weighted = dict(zip(_lattice(6).tolist(), s.weighted))
         for k in (1, -2, 3):
             r = math.exp(k * math.pi / m.T)
             rep = valiron_reconstruct(s, r, 6)
-            assert rep.value == pytest.approx(s.weighted_ring[k], abs=1e-12)
+            assert rep.value == pytest.approx(weighted[k], abs=1e-12)
 
     def test_translated_sine_converges_off_grid(self):
         for c, T in CONFIGS:
@@ -313,9 +316,10 @@ class TestValironReconstruction:
         assert err <= rep.apriori_bound + 1e-12 * m.growth_constant
 
     def test_sample_set_validation(self):
-        with pytest.raises(PreconditionError, match="symmetric"):
-            SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=0.0,
-                      center_derivative=1.0, ring_samples={1: 0.1}, weighted_ring={1: 0.1})
+        for weighted in ([0.1], [], np.zeros((2, 2)), np.zeros(3)):
+            with pytest.raises(PreconditionError, match="symmetric"):
+                SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=0.0,
+                          center_derivative=1.0, weighted=weighted)
         with pytest.raises(PreconditionError):
             SampleSet.from_member(make_mellin_sine(0.0, 1.0), 0)
 
@@ -323,13 +327,45 @@ class TestValironReconstruction:
     def test_sample_set_refuses_growth_constant(self, growth):
         with pytest.raises(PreconditionError, match="growth_constant"):
             SampleSet(c=0.0, T=1.0, growth_constant=growth, center_value=0.0,
-                      center_derivative=1.0, ring_samples={1: 0.1, -1: 0.1},
-                      weighted_ring={1: 0.1, -1: 0.1})
+                      center_derivative=1.0, weighted=[0.1, 0.1])
 
     def test_truncation_beyond_samples_rejected(self):
         s = SampleSet.from_member(make_mellin_sine(0.0, 1.0), 4)
         with pytest.raises(PreconditionError):
             valiron_reconstruct(s, 1.3, 5)
+
+    def test_sample_set_keeps_one_complex_per_sample(self):
+        n = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = SampleSet.from_member(translated_sine(0.5, 2.0), n)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert s.n_ring == n
+        assert retained <= 32 * 2 * n  # one complex128 is 16 bytes
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(c=st.floats(-1.0, 1.0), T=st.floats(0.25, 4.0), log_r=st.floats(-8.0, 8.0),
+           n=st.integers(1, 64))
+    def test_block_ordered_set_on_the_translated_sine(self, c, T, log_r, n):
+        assume(abs(T * log_r) / math.pi < n)
+        m = translated_sine(c, T)
+        s = SampleSet.from_member(m, n)
+        r = math.exp(log_r)
+        rep = valiron_reconstruct(s, r, n)
+        exact = cmath.sin(T * (math.log(r) + math.pi / (6.0 * T)))
+        assert abs(rep.value - exact) <= rep.apriori_bound + 1e-12 * m.growth_constant
+        lins = {variant: valiron_lin_form(s, r, n, variant) for variant in ("weighted", "plain")}
+        scale = m.growth_constant * r ** (-c)  # the size of f(r, 0) on the class
+        for got in lins.values():
+            assert abs(got - rep.value * r ** (-c)) <= 1e-10 * scale
+        # the first 2n samples of a larger set are the set at n
+        big = SampleSet.from_member(m, 256)
+        assert valiron_reconstruct(big, r, n) == rep
+        for variant, got in lins.items():
+            assert valiron_lin_form(big, r, n, variant) == got
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +401,17 @@ class TestLinForms:
         s = SampleSet.from_member(make_mellin_sine(0.0, 1.0), 2)
         with pytest.raises(PreconditionError):
             valiron_lin_form(s, 1.0, 2, variant="other")
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("form", [
+        lambda s, r: valiron_reconstruct(s, r, 4),
+        lambda s, r: valiron_lin_form(s, r, 4, "weighted"),
+        lambda s, r: valiron_lin_form(s, r, 4, "plain"),
+    ], ids=["reconstruct", "weighted", "plain"])
+    def test_radius_not_positive_and_finite_is_refused(self, form, r):
+        s = SampleSet.from_member(translated_sine(0.5, 2.0), 4)
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            form(s, r)
 
 
 # ---------------------------------------------------------------------------

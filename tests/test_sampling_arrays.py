@@ -24,6 +24,7 @@ from mellin_polar import (
     valiron_reconstruct,
 )
 from mellin_polar.functions import lin_value
+from mellin_polar.sampling import _lattice
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +43,23 @@ class _Kahan:
         self.total = new_total
 
 
+def weighted_samples(s):
+    """Weighted sample k of the set, keyed by k."""
+    return dict(zip(_lattice(s.n_ring).tolist(), s.weighted.tolist()))
+
+
+def raw_samples(s):
+    """Raw sample k of the set, keyed by k: f(e^{k pi/T}, 0) = e^{-k pi c/T} w_k."""
+    ks = _lattice(s.n_ring)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = s.weighted * np.exp(-s.c * (ks * math.pi / s.T))
+    return dict(zip(ks.tolist(), raw.tolist()))
+
+
 def reference_reconstruct(s, r, n):
     """The value of the scalar loop, each term by the sinc continuation."""
     T = s.T
+    weighted = weighted_samples(s)
     x = T * math.log(r)
     sin_x = math.sin(x)
     acc = _Kahan()
@@ -56,7 +71,7 @@ def reference_reconstruct(s, r, n):
             kp = kk * math.pi
             d = x - kp
             ratio = float(np.sin(d)) / d if d else 1.0
-            block.add(x * ratio * s.weighted_ring[kk] / kp)
+            block.add(x * ratio * weighted[kk] / kp)
         acc.add(block.total)
     return acc.total
 
@@ -66,8 +81,8 @@ def reference_lin_form(s, r, n, variant):
     y = r ** (T / math.pi)
     log_r = math.log(r)
     log_y = T * log_r / math.pi
-    nu, samples = (c * math.pi / T, s.ring_samples) if variant == "weighted" \
-        else (0.0, s.weighted_ring)
+    nu, samples = (c * math.pi / T, raw_samples(s)) if variant == "weighted" \
+        else (0.0, weighted_samples(s))
     head = float(lin_value(nu, y))
     acc = _Kahan()
     acc.add(head * (log_r * s.center_derivative + s.center_value))
