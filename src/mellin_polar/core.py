@@ -194,10 +194,6 @@ class PolarFunction:
     def __call__(self, p: PolarPoint) -> complex:
         return complex(self.log_fn(math.log(p.r), p.theta))
 
-    def values(self, r, theta):
-        """Vectorized evaluation at radii/angles (broadcast like numpy)."""
-        return self.values_log(np.log(np.asarray(r, dtype=float)), theta)
-
     def values_log(self, x, theta):
         """Vectorized evaluation in the chart, x = log r."""
         return np.asarray(self.log_fn(np.asarray(x, dtype=float), np.asarray(theta, dtype=float)),

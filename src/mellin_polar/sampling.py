@@ -28,9 +28,12 @@ sum_{k>n} 1/(k^2 - y^2), and for k > y that decreasing sum is at most its
 integral from n.  Its lin-function forms (the Mellin analogue of sinc
 interpolation) are an independent route and must agree to rounding.
 
-Summation is deterministic: both series, the Bernstein numerator and the
-classical-line analogue add their symmetric blocks from the smallest |k|
-outward through one compensated (Kahan) block sum.
+Summation is deterministic: all seven sampling sums -- the Boas and the
+Valiron-derived series, the Bernstein numerator, the classical-line
+analogue, the reconstruction and both lin forms -- go through one
+compensated (Kahan) sum, from the smallest |k| outward.  The series add
+their symmetric blocks; the reconstruction and the lin forms add their
+centre terms first and then the lattice terms in block order.
 """
 
 from __future__ import annotations
@@ -65,30 +68,16 @@ __all__ = [
     "valiron_reconstruct",
 ]
 
-class _Kahan:
-    """Compensated accumulator (complex); deterministic term-order summation."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0 + 0j
-        self.carry = 0.0 + 0j
-
-    def add(self, value: complex) -> None:
-        value = value + self.carry
-        new_total = self.total + value
-        self.carry = value - (new_total - self.total)
-        self.total = new_total
-
-    def extend(self, values: Iterable[complex]) -> None:
-        """add() each value in turn, with the state held in locals."""
-        total, carry = self.total, self.carry
-        for value in values:
-            value = value + carry
-            new_total = total + value
-            carry = value - (new_total - total)
-            total = new_total
-        self.total, self.carry = total, carry
+def _kahan_sum(values: Iterable):
+    """Compensated (Kahan) sum of ``values`` in the order given, from 0 + 0j;
+    elementwise when the values are arrays."""
+    total = carry = 0.0 + 0j
+    for value in values:
+        value = value + carry
+        new_total = total + value
+        carry = value - (new_total - total)
+        total = new_total
+    return total
 
 
 def _div_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -146,6 +135,9 @@ class SampleSet:
         if weighted.ndim != 1 or not weighted.size or weighted.size % 2:
             raise PreconditionError(
                 "weighted ring samples must come in symmetric pairs k, -k (even nonzero length)")
+        if not (np.isfinite(weighted).all()
+                and np.isfinite([self.center_value, self.center_derivative]).all()):
+            raise PreconditionError("every sample must be finite")
         weighted.flags.writeable = False
         object.__setattr__(self, "weighted", weighted)
 
@@ -158,13 +150,13 @@ class SampleSet:
         if n < 1:
             raise PreconditionError("need at least one ring sample pair")
         _check_shifts(0.0, (math.pi / m.T, n * math.pi / m.T))  # the least and greatest |x|
-        xs = _lattice(n) * math.pi / m.T
         center = PolarPoint(1.0, 0.0)
-        return cls(
-            c=m.c, T=m.T, growth_constant=m.growth_constant,
-            center_value=m.value(center),
-            center_derivative=m.theta_c(center),
-            weighted=m.weighted_profile(xs, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused
+            return cls(
+                c=m.c, T=m.T, growth_constant=m.growth_constant,
+                center_value=m.value(center),
+                center_derivative=m.theta_c(center),
+                weighted=m.weighted_profile(_lattice(n) * math.pi / m.T, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +176,8 @@ def _block_sum(profile: Callable, x, rhos: Sequence[float], coefs: Sequence[floa
     Elementwise for an array x.
     """
     _check_shifts(x, rhos)
-    acc = _Kahan()
-    for rho, coef in zip(rhos, coefs):
-        acc.add(coef * (profile(x + rho) - profile(x - rho)))
-    return acc.total
+    return _kahan_sum(coef * (profile(x + rho) - profile(x - rho))
+                      for rho, coef in zip(rhos, coefs))
 
 
 def _boas_blocks(T: float, n: int) -> tuple[list[float], list[float]]:
@@ -311,8 +301,9 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     with w_k the weighted sample, the centre term f(1,0) sin(x)/x, and
     sin(d)/d is 1 at d = 0.  So no term loses digits to the rounding of
     k pi next to a lattice abscissa.  The 2n lattice terms are formed as
-    one array and summed in the order 1, -1, 2, -2, ...: each symmetric
-    block compensated on its own, the blocks then compensated in turn.  The
+    one array; each symmetric block is the pair sum t_k + t_{-k} (for
+    finite terms a compensated sum of the pair, up to the sign of a zero),
+    and the blocks are compensated in turn after the two centre terms.  The
     report carries the module's truncation bound, which needs
     y = |T log r|/pi < n: larger y is refused.
     """
@@ -328,24 +319,18 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     if not math.isfinite(bound):
         raise DomainError("the a-priori truncation bound overflows at this radius")
 
-    acc = _Kahan()
-    acc.add(sin_x * s.center_derivative / T)
-    acc.add((sin_x / x if x else 1.0) * s.center_value)
-
     kp = _lattice(n) * math.pi
     d = x - kp
-    with np.errstate(invalid="ignore"):  # 0/0 on a lattice abscissa, where the ratio is 1
+    # 0/0 on a lattice abscissa, where the ratio is 1; an overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.where(d == 0.0, 1.0, np.sin(d) / d)
-    terms = _div_real(x * ratio * s.weighted[:2 * n], kp)
-
-    # a fresh _Kahan per block, adding the k term and then the -k term
-    zero = 0.0 + 0j
-    first = terms[0::2] + zero
-    first_total = zero + first
-    second = terms[1::2] + (first - (first_total - zero))
-    blocks = first_total + second
-    acc.extend(blocks.tolist())
-    return TruncationReport(value=acc.total, n_terms=2 * n + 2, apriori_bound=bound)
+        terms = _div_real(x * ratio * s.weighted[:2 * n], kp)
+        blocks = (terms[0::2] + terms[1::2]).tolist()
+    value = _kahan_sum([sin_x * s.center_derivative / T,
+                        (sin_x / x if x else 1.0) * s.center_value, *blocks])
+    if not cmath.isfinite(value):
+        raise DomainError("the reconstruction leaves the double range")
+    return TruncationReport(value=value, n_terms=2 * n + 2, apriori_bound=bound)
 
 
 def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") -> complex:
@@ -387,8 +372,6 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     nu = c * math.pi / T if variant == "weighted" else 0.0
 
     head = float(lin_value(nu, y))  # lin is real on the positive reals
-    acc = _Kahan()
-    acc.add(head * (log_r * s.center_derivative + s.center_value))
     with np.errstate(over="ignore", invalid="ignore"):
         # math.exp, not np.exp: the kernel arguments round as in a scalar loop;
         # e^{-k} overflows for k <= -710
@@ -399,13 +382,16 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
         samples = weighted * np.exp(-c * (ks * math.pi / T)) if variant == "weighted" \
             else weighted
         terms = _div_real(log_y * samples * kernel, ks)
-    bad = ~(normal & np.isfinite(terms))
-    if bad.any():
-        kb = ks[bad]
-        kernel = y ** (-nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
-        terms[bad] = _div_real(log_y * weighted[bad] * kernel, kb)
-    acc.extend(terms.tolist())
-    return acc.total if variant == "weighted" else acc.total * r ** (-c)
+        bad = ~(normal & np.isfinite(terms))
+        if bad.any():
+            kb = ks[bad]
+            kernel = y ** (-nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
+            terms[bad] = _div_real(log_y * weighted[bad] * kernel, kb)
+    total = _kahan_sum([head * (log_r * s.center_derivative + s.center_value), *terms.tolist()])
+    value = total if variant == "weighted" else total * r ** (-c)
+    if not cmath.isfinite(value):
+        raise DomainError("the lin form leaves the double range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +413,14 @@ def bernstein_check(m: MellinBernsteinMember, theta: float = 0.0, n: int = 500,
     xs = grid.xs()
     rhos, coefs = _boas_blocks(m.T, n)
     _check_shifts(xs, rhos)  # before any profile call, which could overflow first
-    den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
-    if den == 0.0:
-        raise DegenerateInputError("member vanishes on the whole grid")
-    total = _block_sum(lambda x: m.weighted_profile(x, theta), xs, rhos, coefs)
-    num = float(np.max(np.abs(4.0 * m.T / math.pi ** 2 * total)))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        den = float(np.max(np.abs(m.weighted_profile(xs, theta))))
+        if den == 0.0:
+            raise DegenerateInputError("member vanishes on the whole grid")
+        total = _block_sum(lambda x: m.weighted_profile(x, theta), xs, rhos, coefs)
+        num = float(np.max(np.abs(4.0 * m.T / math.pi ** 2 * total)))
+    if not (math.isfinite(den) and math.isfinite(num)):
+        raise DomainError("the weighted profile or its Boas series is not finite on the grid")
     return num / den
 
 
@@ -474,6 +463,9 @@ def fit_loglog_slope(ns: Iterable[float], errors: Iterable[float]) -> float:
     """Least-squares slope of log error against log n (zero errors dropped)."""
     ns = np.asarray(list(ns), dtype=float)
     errors = np.asarray(list(errors), dtype=float)
+    if ns.shape != errors.shape or not (np.all(np.isfinite(ns) & (ns > 0.0))
+                                         and np.all(np.isfinite(errors))):
+        raise PreconditionError("the fit needs one finite error per positive finite n")
     keep = errors > 0.0
     if np.count_nonzero(keep) < 2:
         raise DegenerateInputError("need at least two nonzero errors to fit a slope")

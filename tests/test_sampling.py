@@ -23,6 +23,7 @@ from mellin_polar import (
     fit_loglog_slope,
     fourier_valiron_derivative,
     make_mellin_sine,
+    make_power,
     make_sine_blend,
     mellin_translate,
     power_member,
@@ -188,6 +189,17 @@ class TestTruncationBounds:
         assert -1.3 <= boas_slope <= -0.7
         assert -2.3 <= valiron_slope <= -1.7
 
+    @pytest.mark.parametrize("ns, errors", [
+        ([0, 1, 2], [1.0, 0.5, 0.25]),
+        ([-1, 1, 2], [1.0, 0.5, 0.25]),
+        ([1, 2, 4], [1.0, math.inf, 0.25]),
+        ([1, 2, 4], [1.0, 0.5]),
+    ])
+    def test_fit_refuses_malformed_input(self, ns, errors, capfd):
+        with pytest.raises(PreconditionError, match="one finite error per positive finite n"):
+            fit_loglog_slope(ns, errors)
+        assert capfd.readouterr().err == ""  # refused before LAPACK sees it
+
     def test_overflowing_boas_scale_is_refused(self):
         # C_f T e^{T|theta|} r^{-c} is finite at T = 1e308, 4T/pi^2 is not
         with pytest.raises(DomainError, match="bound overflows"):
@@ -328,6 +340,31 @@ class TestValironReconstruction:
         with pytest.raises(PreconditionError, match="growth_constant"):
             SampleSet(c=0.0, T=1.0, growth_constant=growth, center_value=0.0,
                       center_derivative=1.0, weighted=[0.1, 0.1])
+
+    def test_generic_profile_overflow_is_refused(self):
+        # far out on the lattice the generic profile e^{c x} * 0 is inf * 0
+        with pytest.raises(PreconditionError, match="finite"):
+            SampleSet.from_member(zero_member(), 500)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_sample_set_refuses_non_finite_sample(self, bad):
+        for centre, slope, weighted in ((0.0, 0.0, [bad, 1.0]), (bad, 0.0, [1.0, 1.0]),
+                                        (0.0, bad, [1.0, 1.0])):
+            with pytest.raises(PreconditionError, match="finite"):
+                SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=centre,
+                          center_derivative=slope, weighted=weighted)
+
+    @pytest.mark.parametrize("centre, form", [
+        (0.0, lambda s, r: valiron_reconstruct(s, r, 4)),
+        (1e308, lambda s, r: valiron_reconstruct(s, r, 4)),
+        (1e308, lambda s, r: valiron_lin_form(s, r, 4, "weighted")),
+        (1e308, lambda s, r: valiron_lin_form(s, r, 4, "plain")),
+    ], ids=["reconstruct", "reconstruct-centre", "weighted", "plain"])
+    def test_sum_leaving_the_double_range_is_refused(self, centre, form):
+        s = SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=centre,
+                      center_derivative=centre, weighted=[1e308] * 8)
+        with pytest.raises(DomainError, match="double range"):
+            form(s, math.e ** 3)
 
     def test_truncation_beyond_samples_rejected(self):
         s = SampleSet.from_member(make_mellin_sine(0.0, 1.0), 4)
@@ -491,6 +528,13 @@ class TestBernsteinCheck:
     def test_degenerate_input_rejected(self):
         with pytest.raises(DegenerateInputError):
             bernstein_check(zero_member())
+
+    def test_non_finite_profile_is_refused(self):
+        # e^{200 x} e^{(-200 + i) x} is inf * 0 where the grid runs far out
+        m = MellinBernsteinMember(make_power(complex(-200, 1)), c=200.0, T=1.0,
+                                  growth_constant=1.0)
+        with pytest.raises(DomainError, match="not finite"):
+            bernstein_check(m, n=4)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_requires_at_least_one_block(self, n):

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mellin_polar import (
     PreconditionError,
@@ -145,6 +146,29 @@ def test_lin_form_bitwise_identical(sample_set, variant):
             else:
                 assert np.isfinite(got)
     assert compared >= len(_radii(sample_set.T)) * (len(NS) - 1)
+
+
+# signed zeros, subnormals, huge and normal parts, as no member's samples mix them
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e300, -1e300]) \
+    | st.floats(-4.0, 4.0)
+_SAMPLES = st.builds(complex, _PARTS, _PARTS)
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 8), T=st.sampled_from([0.7, 1.0, 2.3]),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_reconstruction_bitwise_on_hand_built_sets(data, n, T, sign):
+    s = SampleSet(c=0.0, T=T, growth_constant=1.0, center_value=data.draw(_SAMPLES),
+                  center_derivative=data.draw(_SAMPLES),
+                  weighted=data.draw(st.lists(_SAMPLES, min_size=2 * n, max_size=2 * n)))
+    y = data.draw(st.floats(0.0, n, exclude_max=True))
+    r = math.exp(sign * y * math.pi / T)
+    assume(abs(T * math.log(r)) / math.pi < n)
+    assert _hex(valiron_reconstruct(s, r, n).value) == _hex(reference_reconstruct(s, r, n))
 
 
 # ---------------------------------------------------------------------------
