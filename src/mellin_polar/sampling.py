@@ -31,9 +31,7 @@ interpolation) are an independent route and must agree to rounding.
 Summation is deterministic: all seven sampling sums -- the Boas and the
 Valiron-derived series, the Bernstein numerator, the classical-line
 analogue, the reconstruction and both lin forms -- go through one
-compensated (Kahan) sum, from the smallest |k| outward.  The series add
-their symmetric blocks; the reconstruction and the lin forms add their
-centre terms first and then the lattice terms in block order.
+compensated (Kahan) sum, from the smallest |k| outward.
 """
 
 from __future__ import annotations
@@ -90,6 +88,14 @@ def _div_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     out.real = z.real / d
     out.imag = z.imag / d
     return out
+
+
+def _pow(x: float, p: float) -> float:
+    """x ** p for x >= 0, inf where Python's float power raises OverflowError."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -300,7 +306,8 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     identity for every x = T log r: lattice term k is x w_k sin(d)/(d k pi)
     with w_k the weighted sample, the centre term f(1,0) sin(x)/x, and
     sin(d)/d is 1 at d = 0.  So no term loses digits to the rounding of
-    k pi next to a lattice abscissa.  The 2n lattice terms are formed as
+    k pi next to a lattice abscissa; where x w_k overflows, the term is
+    x sin(d)/d (w_k/(k pi)) instead.  The 2n lattice terms are formed as
     one array; each symmetric block is the pair sum t_k + t_{-k} (for
     finite terms a compensated sum of the pair, up to the sign of a zero),
     and the blocks are compensated in turn after the two centre terms.  The
@@ -319,17 +326,20 @@ def valiron_reconstruct(s: SampleSet, r: float, n: int) -> TruncationReport:
     if not math.isfinite(bound):
         raise DomainError("the a-priori truncation bound overflows at this radius")
 
-    kp = _lattice(n) * math.pi
+    kp, weighted = _lattice(n) * math.pi, s.weighted[:2 * n]
     d = x - kp
-    # 0/0 on a lattice abscissa, where the ratio is 1; an overflow is refused below
+    # 0/0 on a lattice abscissa, where the ratio is 1; an overflowing term is formed again below
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.where(d == 0.0, 1.0, np.sin(d) / d)
-        terms = _div_real(x * ratio * s.weighted[:2 * n], kp)
+        terms = _div_real(x * ratio * weighted, kp)
+        bad = ~np.isfinite(terms)
+        if bad.any():  # x w_k overflowed: divide by k pi first there
+            terms[bad] = x * ratio[bad] * _div_real(weighted[bad], kp[bad])
         blocks = (terms[0::2] + terms[1::2]).tolist()
     value = _kahan_sum([sin_x * s.center_derivative / T,
                         (sin_x / x if x else 1.0) * s.center_value, *blocks])
     if not cmath.isfinite(value):
-        raise DomainError("the reconstruction leaves the double range")
+        raise DomainError("the reconstruction overflows: a term or their sum is not finite")
     return TruncationReport(value=value, n_terms=2 * n + 2, apriori_bound=bound)
 
 
@@ -363,7 +373,7 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
         raise PreconditionError("variant must be 'weighted' or 'plain'")
     _check_ring_args(s, r, n)
     T, c = s.T, s.c
-    y = r ** (T / math.pi)          # lattice variable: samples sit at e^k
+    y = _pow(r, T / math.pi)        # lattice variable: samples sit at e^k
     log_r = math.log(r)
     log_y = T * log_r / math.pi
     ks, weighted = _lattice(n), s.weighted[:2 * n]
@@ -371,8 +381,8 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
     # and the r^c stripped at the end
     nu = c * math.pi / T if variant == "weighted" else 0.0
 
-    head = float(lin_value(nu, y))  # lin is real on the positive reals
     with np.errstate(over="ignore", invalid="ignore"):
+        head = float(lin_value(nu, y))  # lin is real on the positive reals
         # math.exp, not np.exp: the kernel arguments round as in a scalar loop;
         # e^{-k} overflows for k <= -710
         arg = np.array([math.exp(-k) if k > -710 else math.inf for k in ks.tolist()]) * y
@@ -385,12 +395,12 @@ def valiron_lin_form(s: SampleSet, r: float, n: int, variant: str = "weighted") 
         bad = ~(normal & np.isfinite(terms))
         if bad.any():
             kb = ks[bad]
-            kernel = y ** (-nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
+            kernel = _pow(y, -nu) * sinc(log_y - kb).real  # y^{-nu} = r^{-c} when weighted
             terms[bad] = _div_real(log_y * weighted[bad] * kernel, kb)
     total = _kahan_sum([head * (log_r * s.center_derivative + s.center_value), *terms.tolist()])
-    value = total if variant == "weighted" else total * r ** (-c)
+    value = total if variant == "weighted" else total * _pow(r, -c)
     if not cmath.isfinite(value):
-        raise DomainError("the lin form leaves the double range")
+        raise DomainError("the lin form overflows: a power of r, a term or their sum is not finite")
     return value
 
 

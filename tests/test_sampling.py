@@ -354,17 +354,34 @@ class TestValironReconstruction:
                 SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=centre,
                           center_derivative=slope, weighted=weighted)
 
-    @pytest.mark.parametrize("centre, form", [
-        (0.0, lambda s, r: valiron_reconstruct(s, r, 4)),
-        (1e308, lambda s, r: valiron_reconstruct(s, r, 4)),
-        (1e308, lambda s, r: valiron_lin_form(s, r, 4, "weighted")),
-        (1e308, lambda s, r: valiron_lin_form(s, r, 4, "plain")),
-    ], ids=["reconstruct", "reconstruct-centre", "weighted", "plain"])
-    def test_sum_leaving_the_double_range_is_refused(self, centre, form):
-        s = SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=centre,
-                      center_derivative=centre, weighted=[1e308] * 8)
-        with pytest.raises(DomainError, match="double range"):
-            form(s, math.e ** 3)
+    @pytest.mark.parametrize("c, T, r, centre, weighted, form", [
+        # at x = T log r = 3 the signs (-1)^{k+1} make every term positive; the
+        # exact truncated sum is about 2.16e308, past DBL_MAX = 1.80e308
+        *[(0.0, 1.0, math.e ** 3, 1.79e308, [1.79e308, 1.79e308, -1.79e308, -1.79e308] * 2,
+           form) for form in ("reconstruct", "weighted", "plain")],
+        # r^{-c} = 1e600, or the lattice variable r^{T/pi} = 1e318
+        *[(c, T, r, 1.0, [1.0] * 8, form) for c, T, r in ((2.0, 1.0, 1e-300), (0.0, 10.0, 1e100))
+          for form in ("weighted", "plain")],
+    ], ids=["sum-reconstruct", "sum-weighted", "sum-plain", "r^-c-weighted", "r^-c-plain",
+            "y-weighted", "y-plain"])
+    def test_overflow_is_refused(self, c, T, r, centre, weighted, form):
+        s = SampleSet(c=c, T=T, growth_constant=1.0, center_value=centre,
+                      center_derivative=centre, weighted=weighted)
+        with pytest.raises(DomainError, match="overflows"):
+            if form == "reconstruct":
+                valiron_reconstruct(s, r, 4)
+            else:
+                valiron_lin_form(s, r, 4, form)
+
+    def test_reconstruction_terms_divide_first_where_x_w_overflows(self):
+        # x w_k = 3e308 overflows, the terms (at most 0.95 w_k) and their sum 9.5e307 do not
+        big = SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=0.0,
+                        center_derivative=0.0, weighted=[1e308] * 8)
+        small = SampleSet(c=0.0, T=1.0, growth_constant=1.0, center_value=0.0,
+                          center_derivative=0.0, weighted=[1e308 / 2 ** 20] * 8)
+        value = valiron_reconstruct(big, math.e ** 3, 4).value
+        assert value == pytest.approx(2 ** 20 * valiron_reconstruct(small, math.e ** 3, 4).value,
+                                      rel=1e-15)
 
     def test_truncation_beyond_samples_rejected(self):
         s = SampleSet.from_member(make_mellin_sine(0.0, 1.0), 4)
